@@ -46,13 +46,11 @@ from .grid import (
 )
 from .measures import (
     FunctionalValue,
-    fisher_functional,
     fisher_information,
     functional_derivative,
     kl_divergence_shifted,
     kl_shifted_functional,
     shannon_entropy,
-    shannon_functional,
 )
 from .nonlinearity import (
     NonlinearField,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigParseError, ConfigValidationError
-from .grid import COMMENSURATE_RTOL, Grid, PhysConstants
+from .errors import ConfigParseError, ConfigValidationError, IncommensurateShiftError
+from .grid import Grid, PhysConstants
 
 FORMAT_VERSION = 1
 
@@ -25,7 +25,7 @@ COMMANDS = (
     "measures",
 )
 
-POTENTIAL_KINDS = ("zero", "harmonic", "quartic", "box")
+POTENTIAL_KINDS = ("zero", "harmonic", "quartic")
 
 ETA_OPT_PROFILES = ("node-excited", "gaussian-ground")
 
@@ -69,7 +69,6 @@ class ExperimentConfig:
     alpha: tuple[tuple[int, float], ...] = ((1, 1.0),)
     node_exclusion_radius_steps: float = 3.0
     # measures
-    density_kind: str = "gaussian"
     density_sigma: float = 1.0
     # output
     directory: str = "out"
@@ -111,7 +110,6 @@ _SCHEMA = {
     ("exact", "kappa"): ("kappa", "float"),
     ("exact", "alpha"): ("alpha", "alpha"),
     ("exact", "node_exclusion_radius_steps"): ("node_exclusion_radius_steps", "float"),
-    ("measures", "density"): ("density_kind", "str"),
     ("measures", "sigma"): ("density_sigma", "float"),
     ("output", "directory"): ("directory", "str"),
 }
@@ -202,30 +200,19 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
     for L in cfg.L_values:
         if L <= 0:
             raise _err(lines, "L_values", f"L = {L} must be positive")
+    shifts = []
     if cfg.command in ("evolve", "shift-sweep", "exact-verify", "cotangent"):
-        for eta in cfg.eta_values:
-            for L in cfg.L_values:
-                ratio = eta * L / cfg.dx
-                steps = round(ratio)
-                if abs(ratio - steps) > COMMENSURATE_RTOL * max(1.0, abs(steps)):
-                    raise _err(
-                        lines,
-                        "eta_values",
-                        f"incommensurate shift: eta*L/dx = {ratio} for "
-                        f"(eta={eta}, L={L}, dx={cfg.dx}) is not an integer",
-                    )
-    if cfg.command == "measures":
+        shifts = [(eta * L, "eta_values", f"eta={eta}, L={L}")
+                  for eta in cfg.eta_values for L in cfg.L_values]
+    elif cfg.command == "measures":
         # the measures shift is L itself, not eta*L
-        for L in cfg.L_values:
-            ratio = L / cfg.dx
-            steps = round(ratio)
-            if abs(ratio - steps) > COMMENSURATE_RTOL * max(1.0, abs(steps)):
-                raise _err(
-                    lines,
-                    "L_values",
-                    f"incommensurate shift: L/dx = {ratio} for "
-                    f"(L={L}, dx={cfg.dx}) is not an integer",
-                )
+        shifts = [(L, "L_values", f"L={L}") for L in cfg.L_values]
+    grid = cfg.grid()
+    for distance, attr, what in shifts:
+        try:
+            grid.steps_for(distance)
+        except IncommensurateShiftError as exc:
+            raise _err(lines, attr, f"incommensurate shift ({what}): {exc}") from None
     if cfg.command == "evolve":
         if len(cfg.eta_values) != 1 or len(cfg.L_values) != 1:
             raise _err(lines, "eta_values", "evolve requires exactly one eta and one L")

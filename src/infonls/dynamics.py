@@ -92,7 +92,8 @@ def _make_rhs(
     consts: PhysConstants,
     policy: str,
 ):
-    """Right-side closure on raw complex arrays; masked points are pinned."""
+    """Right-side closure on raw complex arrays (masked points are pinned),
+    and the (squared norm, energy) diagnostic closure that shares its parts."""
     mask = V.singular_mask
     any_masked = bool(mask.any())
     v_ext = np.where(mask, 0.0, V.values)
@@ -100,6 +101,7 @@ def _make_rhs(
     minus_i_over_hbar = -1j / consts.hbar
     steps = params.shift_steps(grid) if params is not None else 0
     dx, boundary = grid.dx, grid.boundary
+    w = grid.quad_weights()
 
     def rhs(psi: np.ndarray) -> np.ndarray:
         lap = _laplacian_raw(psi, dx, boundary)
@@ -113,7 +115,16 @@ def _make_rhs(
             out[mask] = 0.0
         return out
 
-    return rhs
+    def diagnostics(psi: np.ndarray) -> tuple[float, float]:
+        lap = _laplacian_raw(psi, dx, boundary)
+        p = psi.real**2 + psi.imag**2
+        e = np.sum(w * (np.conj(psi) * (kin * lap)).real) + np.sum(w * v_ext * p)
+        if params is not None:
+            f = _field_raw(p, grid, params, consts, policy, steps)
+            e += np.sum(w * p * f)
+        return float(np.sum(w * p)), float(e)
+
+    return rhs, diagnostics
 
 
 def rhs_apply(
@@ -125,7 +136,7 @@ def rhs_apply(
 ) -> Wavefunction:
     """(1/i hbar) [ -(hbar^2/2m) psi'' + V psi + F(p) psi ]."""
     pol = policy or psi.grid.default_policy()
-    rhs = _make_rhs(psi.grid, V, params, consts, pol)
+    rhs, _ = _make_rhs(psi.grid, V, params, consts, pol)
     return Wavefunction(psi.grid, rhs(psi.values.astype(np.complex128)))
 
 
@@ -154,7 +165,7 @@ def rk4_step(
     """One classical fourth-order step of the full equation."""
     _check_dt(dt, psi.grid, consts)
     pol = policy or psi.grid.default_policy()
-    rhs = _make_rhs(psi.grid, V, params, consts, pol)
+    rhs, _ = _make_rhs(psi.grid, V, params, consts, pol)
     return Wavefunction(psi.grid, _rk4_raw(psi.values.astype(np.complex128), rhs, dt))
 
 
@@ -177,26 +188,12 @@ def evolve(
     _check_dt(dt, psi0.grid, consts)
     grid = psi0.grid
     pol = policy or grid.default_policy()
-    rhs = _make_rhs(grid, V, params, consts, pol)
-    w = grid.quad_weights()
-    v_ext = np.where(V.singular_mask, 0.0, V.values)
-    kin = -consts.hbar**2 / (2.0 * consts.mass)
-    steps = params.shift_steps(grid) if params is not None else 0
-
-    def energy(psi: np.ndarray) -> float:
-        lap = _laplacian_raw(psi, grid.dx, grid.boundary)
-        p = psi.real**2 + psi.imag**2
-        e = np.sum(w * (np.conj(psi) * (kin * lap)).real) + np.sum(w * v_ext * p)
-        if params is not None:
-            f = _field_raw(p, grid, params, consts, pol, steps)
-            e += np.sum(w * p * f)
-        return float(e)
-
+    rhs, diagnostics = _make_rhs(grid, V, params, consts, pol)
     psi = psi0.values.astype(np.complex128)
-    norm0 = float(np.sum(w * (psi.real**2 + psi.imag**2)))
+    norm0, e0 = diagnostics(psi)
     times = [0.0]
     drift = [0.0]
-    etrace = [energy(psi)]
+    etrace = [e0]
     for k in range(1, n_steps + 1):
         # divergence is detected and reported below; keep numpy quiet about it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -211,9 +208,10 @@ def evolve(
             raise NonFiniteEvolutionError(
                 f"non-finite amplitudes after step {k}", report=partial
             )
+        norm, e = diagnostics(psi)
         times.append(k * dt)
-        drift.append(abs(float(np.sum(w * (psi.real**2 + psi.imag**2))) - norm0))
-        etrace.append(energy(psi))
+        drift.append(abs(norm - norm0))
+        etrace.append(e)
     return EvolutionReport(
         np.array(times), np.array(drift), np.array(etrace), Wavefunction(grid, psi)
     )

@@ -34,10 +34,9 @@ from .grid import (
     PhysConstants,
     Wavefunction,
     _laplacian_raw,
-    _shift_raw,
     normalize,
 )
-from .nonlinearity import _kl_bracket_raw
+from .nonlinearity import _field_raw
 
 #: alpha descriptors are tuples of (harmonic index, amplitude) pairs in a
 #: sine series over the period eta*L; sines guarantee alpha(0) = 0.
@@ -51,7 +50,6 @@ class ExactSolutionSpec:
     kappa: float
     params: NonlinearParams
     alpha: AlphaDescriptor = DEFAULT_ALPHA
-    norm_C: float | None = None
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -127,8 +125,6 @@ def build_exact_state(spec: ExactSolutionSpec, grid: Grid) -> Wavefunction:
         )
     alpha = evaluate_alpha(spec, grid)
     raw = np.exp(-spec.kappa * grid.x) * alpha
-    raw_norm = math.sqrt(float(np.sum((raw * raw) * grid.quad_weights())))
-    spec.norm_C = 1.0 / raw_norm
     return normalize(Wavefunction(grid, raw))
 
 
@@ -181,22 +177,9 @@ def nonlinear_residual(
     steps = params.shift_steps(grid)
     v = psi.values
     p = v.real**2 + v.imag**2
-    eps = 1e-12 * p.max()
-    pp = _shift_raw(p, +steps, policy, eps)
-    pm = _shift_raw(p, -steps, policy, eps)
-    pref = params.cal_E / params.eta**4
-    kl = pref * _kl_bracket_raw(p, pp, pm, params.eta, eps)
-    s = np.sqrt(p)
-    qp = (
-        consts.hbar**2
-        / (2.0 * consts.mass)
-        * _laplacian_raw(s, grid.dx, grid.boundary)
-        / np.maximum(s, math.sqrt(eps))
-    )
+    f = _field_raw(p, grid, params, consts, policy, steps)
     lap = _laplacian_raw(v, grid.dx, grid.boundary)
-    defect = (
-        -(consts.hbar**2 / (2.0 * consts.mass)) * lap + (kl + qp) * v - E * v
-    )
+    defect = -(consts.hbar**2 / (2.0 * consts.mass)) * lap + f * v - E * v
     excl = _exclusion_mask(v, grid, node_exclusion_radius, steps)
     if excl.all():
         raise AllPointsExcludedError("no grid points left after exclusions")

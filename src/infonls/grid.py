@@ -175,10 +175,17 @@ class Density:
 
     def floor(self) -> float:
         """Density floor used inside logarithms and denominators."""
-        return FLOOR_REL * float(self.values.max())
+        return _floor_raw(self.values)
 
     def integral(self) -> float:
         return float(np.sum(self.values * self.grid.quad_weights()))
+
+
+def _floor_raw(p: np.ndarray) -> float:
+    """The one floor rule: FLOOR_REL * max(p); 1e-300 for an all-zero density,
+    so that floored logarithms stay finite."""
+    top = float(p.max())
+    return FLOOR_REL * top if top > 0 else 1e-300
 
 
 def integrate(values: np.ndarray, grid: Grid) -> float:

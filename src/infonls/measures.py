@@ -79,14 +79,6 @@ def kl_shifted_functional(L: float, policy: str | None = None) -> Callable[[Dens
     return lambda p: kl_divergence_shifted(p, L, policy).value
 
 
-def fisher_functional() -> Callable[[Density], float]:
-    return lambda p: fisher_information(p).value
-
-
-def shannon_functional() -> Callable[[Density], float]:
-    return lambda p: shannon_entropy(p).value
-
-
 def functional_derivative(
     functional: Callable[[Density], float],
     p: Density,

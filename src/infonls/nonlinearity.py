@@ -5,10 +5,13 @@ sampled at x and x +- eta*L, and the quantum-potential term. On constant
 densities every piece cancels identically; for smooth densities the whole
 field is O(L) once the energy-scale constraint cal_E * L^2 = hbar^2/4m holds.
 
-Floors enter logarithms and denominators only. In particular the second
-derivative inside the quantum potential acts on the raw sqrt(p): flooring it
-there would break the exact discrete cancellation against the kinetic term
-for real states, which the half-line solutions rely on.
+Every consumer of F evaluates it through ``_field_raw`` (the bracket alone
+through ``_kl_bracket_raw``), and every floor is the one rule
+``FLOOR_REL * max(p)`` of ``grid._floor_raw`` (1e-300 for an all-zero
+density). Floors enter logarithms and denominators only. In particular the
+second derivative inside the quantum potential acts on the raw sqrt(p):
+flooring it there would break the exact discrete cancellation against the
+kinetic term for real states, which the half-line solutions rely on.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .grid import (
     Grid,
     NonlinearParams,
     PhysConstants,
+    _floor_raw,
     _laplacian_raw,
     _readonly,
     _shift_raw,
@@ -45,9 +49,10 @@ class NonlinearField:
 
 
 def _kl_bracket_raw(
-    p: np.ndarray, pp: np.ndarray, pm: np.ndarray, eta: float, eps: float
+    p: np.ndarray, steps: int, eta: float, policy: str, eps: float
 ) -> np.ndarray:
-    """The regulated bracket, dimensionless, without the cal_E/eta^4 prefactor.
+    """The regulated bracket of p and its shifts p(x +- steps*dx), edges per
+    ``policy``; dimensionless, without the cal_E/eta^4 prefactor.
 
     Two evaluation paths give the same mathematical value:
 
@@ -57,6 +62,8 @@ def _kl_bracket_raw(
       prefactor cal_E/eta^4 can exceed 1e9;
     * the literal floored form at degenerate points (nodes, deep tails).
     """
+    pp = _shift_raw(p, +steps, policy, eps)
+    pm = _shift_raw(p, -steps, policy, eps)
     safe = (p > 100.0 * eps) & (pp > 100.0 * eps) & (pm > 100.0 * eps)
     rp = (pp - p) / np.maximum(p, eps)
     rm = (pm - p) / np.maximum(p, eps)
@@ -92,31 +99,33 @@ def _field_raw(
     policy: str,
     steps: int,
 ) -> np.ndarray:
-    eps = 1e-12 * p.max() if p.max() > 0 else 1e-300
-    pp = _shift_raw(p, +steps, policy, eps)
-    pm = _shift_raw(p, -steps, policy, eps)
+    """F(p) on raw arrays: the only evaluation of the full field."""
+    eps = _floor_raw(p)
     pref = params.cal_E / params.eta**4
-    kl = pref * _kl_bracket_raw(p, pp, pm, params.eta, eps)
+    kl = pref * _kl_bracket_raw(p, steps, params.eta, policy, eps)
     return kl + _quantum_potential_raw(p, grid.dx, grid.boundary, eps, consts)
+
+
+def _warn_if_unregularized(params: NonlinearParams) -> None:
+    if params.eta == 1.0:
+        warnings.warn(
+            "eta = 1 evaluates the unregularized, singular limit",
+            UnregularizedEtaWarning,
+            stacklevel=3,
+        )
 
 
 def regularized_kl_term(
     p: Density, params: NonlinearParams, policy: str | None = None
 ) -> NonlinearField:
     """(cal_E/eta^4) times the regulated bracket of shifted densities."""
-    if params.eta == 1.0:
-        warnings.warn(
-            "eta = 1 evaluates the unregularized, singular limit",
-            UnregularizedEtaWarning,
-            stacklevel=2,
-        )
+    _warn_if_unregularized(params)
     steps = params.shift_steps(p.grid)
-    eps = p.floor()
     pol = policy or p.grid.default_policy()
-    pp = _shift_raw(p.values, +steps, pol, eps)
-    pm = _shift_raw(p.values, -steps, pol, eps)
     pref = params.cal_E / params.eta**4
-    return NonlinearField(p.grid, pref * _kl_bracket_raw(p.values, pp, pm, params.eta, eps))
+    return NonlinearField(
+        p.grid, pref * _kl_bracket_raw(p.values, steps, params.eta, pol, p.floor())
+    )
 
 
 def quantum_potential_term(p: Density, consts: PhysConstants) -> NonlinearField:
@@ -140,6 +149,7 @@ def nonlinear_term_F(
     """
     if params is None:
         return NonlinearField(p.grid, np.zeros(p.grid.n_points))
-    kl = regularized_kl_term(p, params, policy)
-    qp = quantum_potential_term(p, consts)
-    return NonlinearField(p.grid, kl.values + qp.values)
+    _warn_if_unregularized(params)
+    steps = params.shift_steps(p.grid)
+    pol = policy or p.grid.default_policy()
+    return NonlinearField(p.grid, _field_raw(p.values, p.grid, params, consts, pol, steps))

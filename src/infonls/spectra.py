@@ -29,7 +29,7 @@ from .grid import (
     NonlinearParams,
     PhysConstants,
     Wavefunction,
-    _shift_raw,
+    _floor_raw,
     integrate,
     normalize,
 )
@@ -146,11 +146,9 @@ def first_order_shift_numeric(
     steps = params.shift_steps(grid)
     pol = policy or grid.default_policy()
     p = state.values.real**2 + state.values.imag**2
-    eps = 1e-12 * p.max()
-    pp = _shift_raw(p, +steps, pol, eps)
-    pm = _shift_raw(p, -steps, pol, eps)
     pref = params.cal_E / params.eta**4
-    kl_part = integrate(p * pref * _kl_bracket_raw(p, pp, pm, params.eta, eps), grid)
+    bracket = _kl_bracket_raw(p, steps, params.eta, pol, _floor_raw(p))
+    kl_part = integrate(p * pref * bracket, grid)
     s = np.sqrt(p)
     d = np.diff(s)
     if grid.boundary == "periodic":

@@ -105,7 +105,7 @@ def _build_potential(cfg: ExperimentConfig, grid: Grid) -> Potential:
         return harmonic_potential(grid, consts, omega=cfg.omega)
     if cfg.potential_kind == "quartic":
         return quartic_potential(grid, coeff=cfg.quartic_coeff)
-    return zero_potential(grid)  # 'zero' and 'box' (walls come from dirichlet ends)
+    return zero_potential(grid)
 
 
 def _initial_state(cfg: ExperimentConfig, grid: Grid) -> Wavefunction:

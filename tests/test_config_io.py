@@ -54,6 +54,20 @@ omega = 1.0
 n_states = 2
 """
 
+MEASURES = """
+[run]
+format_version = 1
+command = measures
+
+[grid]
+x_min = -10.0
+dx = 0.01
+n_points = 2000
+
+[nonlinearity]
+L = 0.2, 0.1
+"""
+
 
 class TestParse:
     def test_minimal_evolve_defaults(self):
@@ -68,9 +82,15 @@ class TestParse:
             parse_config(bad)
 
     def test_incommensurate_named(self):
-        bad = MINIMAL_EVOLVE.replace("L = 0.1", "L = 0.146")
-        with pytest.raises(ConfigValidationError, match="incommensurate"):
-            parse_config(bad)
+        # evolve shifts by eta*L (reported on the eta line), measures by L
+        evolve = MINIMAL_EVOLVE.replace("L = 0.1", "L = 0.146")
+        measures = MEASURES.replace("L = 0.2, 0.1", "L = 0.2, 0.146")
+        for bad, key in ((evolve, "eta ="), (measures, "L =")):
+            line = next(
+                i for i, t in enumerate(bad.splitlines(), start=1) if t.startswith(key)
+            )
+            with pytest.raises(ConfigValidationError, match=f"line {line}: incommensurate"):
+                parse_config(bad)
 
     def test_error_carries_line_number(self):
         bad = MINIMAL_EVOLVE.replace("eta = 0.5", "eta = 1.5")

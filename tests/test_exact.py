@@ -91,7 +91,6 @@ class TestBuildExactState:
         psi = build_exact_state(spec, g)
         assert psi.values[0] == 0.0
         assert psi.norm_squared() == pytest.approx(1.0, abs=1e-10)
-        assert spec.norm_C is not None and spec.norm_C > 0
 
     def test_density_damped_periodicity(self, consts):
         params = params_for(0.1, 0.8, consts)

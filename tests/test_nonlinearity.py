@@ -134,6 +134,14 @@ class TestFullNonlinearTerm:
         f = nonlinear_term_F(p, None, consts)
         assert np.all(f.values == 0.0)
 
+    def test_all_zero_density_takes_the_kernel_floor(self, consts):
+        # an all-zero density is floored at 1e-300 like in the RHS kernel, so
+        # every log in the bracket cancels and F is the bare prefactor
+        g = periodic_grid(width=4.0, n=128)
+        params = make_params(0.25, 0.5)
+        f = nonlinear_term_F(Density(g, np.zeros(128)), params, consts)
+        assert np.all(f.values == params.cal_E / params.eta**4)
+
     def test_linear_limit_slope(self, consts):
         # windowed max|F| falls at least linearly over four L-halvings
         sigma = 1.0
