@@ -57,15 +57,14 @@ def zero_potential(grid: Grid) -> Potential:
 
 
 def harmonic_potential(
-    grid: Grid, consts: PhysConstants, omega: float = 1.0, center: float = 0.0
+    grid: Grid, consts: PhysConstants, omega: float = 1.0
 ) -> Potential:
-    x = grid.x - center
+    x = grid.x
     return Potential(grid, 0.5 * consts.mass * omega**2 * x * x)
 
 
-def quartic_potential(grid: Grid, coeff: float = 1.0, center: float = 0.0) -> Potential:
-    x = grid.x - center
-    return Potential(grid, coeff * x**4)
+def quartic_potential(grid: Grid, coeff: float = 1.0) -> Potential:
+    return Potential(grid, coeff * grid.x**4)
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,7 @@ def _make_rhs(
     consts: PhysConstants,
     policy: str,
 ):
-    """Right-side closure on raw complex arrays (masked points are pinned),
-    and the (squared norm, energy) diagnostic closure that shares its parts."""
+    """Right-side closure on raw complex arrays (masked points are pinned)."""
     mask = V.singular_mask
     any_masked = bool(mask.any())
     v_ext = np.where(mask, 0.0, V.values)
@@ -101,30 +99,28 @@ def _make_rhs(
     minus_i_over_hbar = -1j / consts.hbar
     steps = params.shift_steps(grid) if params is not None else 0
     dx, boundary = grid.dx, grid.boundary
-    w = grid.quad_weights()
 
-    def rhs(psi: np.ndarray) -> np.ndarray:
-        lap = _laplacian_raw(psi, dx, boundary)
-        h_psi = kin * lap + v_ext * psi
-        if params is not None:
+    def rhs(psi: np.ndarray, w: np.ndarray | None = None):
+        """The right side at psi; given quadrature weights w, also psi's squared
+        norm and energy, read from the same Laplacian, density and field."""
+        kin_psi = kin * _laplacian_raw(psi, dx, boundary)
+        h_psi = kin_psi + v_ext * psi
+        if params is not None or w is not None:
             p = psi.real**2 + psi.imag**2
+        if params is not None:
             f = _field_raw(p, grid, params, consts, policy, steps)
             h_psi += f * psi
         out = minus_i_over_hbar * h_psi
         if any_masked:
             out[mask] = 0.0
-        return out
-
-    def diagnostics(psi: np.ndarray) -> tuple[float, float]:
-        lap = _laplacian_raw(psi, dx, boundary)
-        p = psi.real**2 + psi.imag**2
-        e = np.sum(w * (np.conj(psi) * (kin * lap)).real) + np.sum(w * v_ext * p)
+        if w is None:
+            return out
+        e = np.sum(w * (np.conj(psi) * kin_psi).real) + np.sum(w * v_ext * p)
         if params is not None:
-            f = _field_raw(p, grid, params, consts, policy, steps)
             e += np.sum(w * p * f)
-        return float(np.sum(w * p)), float(e)
+        return out, float(np.sum(w * p)), float(e)
 
-    return rhs, diagnostics
+    return rhs
 
 
 def rhs_apply(
@@ -136,12 +132,12 @@ def rhs_apply(
 ) -> Wavefunction:
     """(1/i hbar) [ -(hbar^2/2m) psi'' + V psi + F(p) psi ]."""
     pol = policy or psi.grid.default_policy()
-    rhs, _ = _make_rhs(psi.grid, V, params, consts, pol)
+    rhs = _make_rhs(psi.grid, V, params, consts, pol)
     return Wavefunction(psi.grid, rhs(psi.values.astype(np.complex128)))
 
 
-def _rk4_raw(psi: np.ndarray, rhs, dt: float) -> np.ndarray:
-    k1 = rhs(psi)
+def _rk4_raw(psi: np.ndarray, rhs, dt: float, k1: np.ndarray) -> np.ndarray:
+    """One step from psi, given its first stage k1 = rhs(psi)."""
     k2 = rhs(psi + (0.5 * dt) * k1)
     k3 = rhs(psi + (0.5 * dt) * k2)
     k4 = rhs(psi + dt * k3)
@@ -165,8 +161,9 @@ def rk4_step(
     """One classical fourth-order step of the full equation."""
     _check_dt(dt, psi.grid, consts)
     pol = policy or psi.grid.default_policy()
-    rhs, _ = _make_rhs(psi.grid, V, params, consts, pol)
-    return Wavefunction(psi.grid, _rk4_raw(psi.values.astype(np.complex128), rhs, dt))
+    rhs = _make_rhs(psi.grid, V, params, consts, pol)
+    v = psi.values.astype(np.complex128)
+    return Wavefunction(psi.grid, _rk4_raw(v, rhs, dt, rhs(v)))
 
 
 def evolve(
@@ -181,37 +178,37 @@ def evolve(
     """Propagate n_steps and record norm drift and an energy diagnostic.
 
     The energy trace is <psi|H_lin|psi> + integral p F; it is reported as a
-    diagnostic, with no exact-invariance claim attached. Aborts with
-    NonFiniteEvolutionError (carrying the partial report) if amplitudes stop
-    being finite.
+    diagnostic, with no exact-invariance claim attached. Each entry is read
+    from the first RK4 stage at that state, which the next step needs anyway.
+    Aborts with NonFiniteEvolutionError (carrying the partial report) if
+    amplitudes stop being finite.
     """
     _check_dt(dt, psi0.grid, consts)
     grid = psi0.grid
     pol = policy or grid.default_policy()
-    rhs, diagnostics = _make_rhs(grid, V, params, consts, pol)
+    rhs = _make_rhs(grid, V, params, consts, pol)
+    w = grid.quad_weights()
     psi = psi0.values.astype(np.complex128)
-    norm0, e0 = diagnostics(psi)
-    times = [0.0]
-    drift = [0.0]
-    etrace = [e0]
-    for k in range(1, n_steps + 1):
-        # divergence is detected and reported below; keep numpy quiet about it
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi = _rk4_raw(psi, rhs, dt)
-        if not np.isfinite(psi.view(np.float64)).all():
-            partial = EvolutionReport(
-                np.array(times),
-                np.array(drift),
-                np.array(etrace),
-                Wavefunction(grid, np.where(np.isfinite(psi), psi, 0.0)),
-            )
-            raise NonFiniteEvolutionError(
-                f"non-finite amplitudes after step {k}", report=partial
-            )
-        norm, e = diagnostics(psi)
-        times.append(k * dt)
-        drift.append(abs(norm - norm0))
-        etrace.append(e)
+    # divergence is detected and reported below; keep numpy quiet about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1, norm0, e0 = rhs(psi, w)
+        times, drift, etrace = [0.0], [0.0], [e0]
+        for k in range(1, n_steps + 1):
+            psi = _rk4_raw(psi, rhs, dt, k1)
+            if not np.isfinite(psi.view(np.float64)).all():
+                partial = EvolutionReport(
+                    np.array(times),
+                    np.array(drift),
+                    np.array(etrace),
+                    Wavefunction(grid, np.where(np.isfinite(psi), psi, 0.0)),
+                )
+                raise NonFiniteEvolutionError(
+                    f"non-finite amplitudes after step {k}", report=partial
+                )
+            k1, norm, e = rhs(psi, w)
+            times.append(k * dt)
+            drift.append(abs(norm - norm0))
+            etrace.append(e)
     return EvolutionReport(
         np.array(times), np.array(drift), np.array(etrace), Wavefunction(grid, psi)
     )

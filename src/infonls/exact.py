@@ -188,10 +188,10 @@ def nonlinear_residual(
     return max_res, float(excl.mean())
 
 
-def default_halfline_grid(
-    kappa: float, params: NonlinearParams, steps_per_shift: int = 64
-) -> Grid:
-    """Commensurate half-line grid long enough for a kappa-damped state."""
+def default_halfline_grid(kappa: float, params: NonlinearParams) -> Grid:
+    """Commensurate half-line grid long enough for a kappa-damped state, with
+    64 steps per shift."""
+    steps_per_shift = 64
     dx = params.eta * params.L / steps_per_shift
     period = params.eta * params.L
     x_needed = math.log(1e10) / (2.0 * kappa)
@@ -207,7 +207,6 @@ def degeneracy_check(
     params: NonlinearParams,
     consts: PhysConstants,
     grid: Grid | None = None,
-    node_exclusion_radius: float | None = None,
     residual_tol: float = 1e-6,
 ) -> tuple[float, float, bool]:
     """Verify two alpha profiles share the eigenvalue fixed by (kappa, eta, L).
@@ -217,17 +216,13 @@ def degeneracy_check(
     """
     if grid is None:
         grid = default_halfline_grid(kappa, params)
-    if node_exclusion_radius is None:
-        node_exclusion_radius = 3.0 * grid.dx
     e_values = []
     passes = []
     for alpha in (alpha_1, alpha_2):
         spec = ExactSolutionSpec(kappa=kappa, params=params, alpha=alpha)
         psi = build_exact_state(spec, grid)
         e = exact_energy(kappa, params, consts)
-        res, _ = nonlinear_residual(
-            psi, e, params, consts, node_exclusion_radius
-        )
+        res, _ = nonlinear_residual(psi, e, params, consts, 3.0 * grid.dx)
         e_values.append(e)
         passes.append(res < residual_tol)
     return e_values[0], e_values[1], bool(passes[0] and passes[1])

@@ -72,13 +72,6 @@ class Grid:
     def x(self) -> np.ndarray:
         return self.x_min + np.arange(self.n_points) * self.dx
 
-    @property
-    def length(self) -> float:
-        """Domain length: the period for periodic grids, else the span."""
-        if self.boundary == "periodic":
-            return self.n_points * self.dx
-        return (self.n_points - 1) * self.dx
-
     def quad_weights(self) -> np.ndarray:
         """Trapezoidal weights (uniform on the torus, half-weight ends else)."""
         w = np.full(self.n_points, self.dx)
@@ -127,9 +120,9 @@ class NonlinearParams:
     def for_length(cls, L: float, eta: float, consts: PhysConstants) -> "NonlinearParams":
         return cls(L=L, eta=eta, cal_E=consts.hbar**2 / (4.0 * consts.mass * L * L))
 
-    def validate_constraint(self, consts: PhysConstants, rtol: float = 1e-12) -> None:
+    def validate_constraint(self, consts: PhysConstants) -> None:
         target = consts.hbar**2 / (4.0 * consts.mass)
-        if abs(self.cal_E * self.L**2 - target) > rtol * target:
+        if abs(self.cal_E * self.L**2 - target) > 1e-12 * target:
             raise ValueError(
                 f"cal_E * L^2 = {self.cal_E * self.L ** 2} violates the "
                 f"linear-limit constraint {target}"

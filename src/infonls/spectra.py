@@ -40,14 +40,13 @@ from .nonlinearity import _kl_bracket_raw
 #: under a = sqrt(hbar / m omega) and energies in units of hbar omega.
 NODELESS_CALIBRATION = 1.0 / 96.0
 
-_METHODS = ("numeric_expectation", "node_profile", "nodeless_integral", "gaussian_closed")
+_METHODS = ("numeric_expectation",)
 
 
 @dataclass(frozen=True)
 class EigenSolution:
     energies: np.ndarray
     states: tuple[Wavefunction, ...]
-    potential_id: str
 
     def __post_init__(self):
         if not np.all(np.diff(self.energies) >= 0):
@@ -74,7 +73,6 @@ def solve_linear_spectrum(
     grid: Grid,
     consts: PhysConstants,
     n_states: int,
-    potential_id: str = "",
 ) -> EigenSolution:
     """Lowest eigenpairs of the tridiagonal Dirichlet Hamiltonian.
 
@@ -83,8 +81,8 @@ def solve_linear_spectrum(
     """
     if V.singular_mask.any():
         raise ValueError("eigensolver requires a potential with no singular points")
-    if not n_states < grid.n_points / 4:
-        raise ValueError("n_states must be below n_points / 4")
+    if not 1 <= n_states < grid.n_points / 4:
+        raise ValueError("n_states must be at least 1 and below n_points / 4")
     t = consts.hbar**2 / (2.0 * consts.mass * grid.dx**2)
     diag = 2.0 * t + V.values
     off = np.full(grid.n_points - 1, -t)
@@ -92,18 +90,16 @@ def solve_linear_spectrum(
         energies, vecs = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, n_states - 1)
         )
-    except Exception as exc:  # LAPACK failure
+    except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise ConvergenceFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
     states = tuple(
         normalize(Wavefunction(grid, vecs[:, j].astype(np.complex128)))
         for j in range(n_states)
     )
-    if not potential_id:
-        potential_id = f"v[{float(V.values.min()):.6g}..{float(V.values.max()):.6g}]"
-    return EigenSolution(energies, states, potential_id=potential_id)
+    return EigenSolution(energies, states)
 
 
-def resample_state(psi: Wavefunction, fine: Grid, spline_order: int = 5) -> Wavefunction:
+def resample_state(psi: Wavefunction, fine: Grid) -> Wavefunction:
     """Spline-resample a (real) eigenstate onto a finer grid and renormalize.
 
     Eigenvectors of the tridiagonal solve carry inverse-iteration noise of
@@ -112,7 +108,7 @@ def resample_state(psi: Wavefunction, fine: Grid, spline_order: int = 5) -> Wave
     a smooth density at the fine commensurate spacing.
     """
     vals = psi.values.real
-    spl = make_interp_spline(psi.grid.x, vals, k=spline_order)
+    spl = make_interp_spline(psi.grid.x, vals, k=5)
     return normalize(Wavefunction(fine, spl(fine.x).astype(np.complex128)))
 
 
@@ -227,31 +223,25 @@ def nodeless_shift_integral(
     )
 
 
-def minimize_over_eta(
-    shift_fn,
-    lo: float = 1e-4,
-    hi: float = 1.0 - 1e-4,
-    tol: float = 1e-10,
-    pre_scan: int = 64,
-) -> tuple[float, float]:
-    """Golden-section minimum of a continuous profile on [lo, hi].
+def minimize_over_eta(shift_fn) -> tuple[float, float]:
+    """Golden-section minimum of a continuous profile on [1e-4, 1 - 1e-4].
 
-    A coarse pre-scan brackets the global basin first (the closed-form
-    profiles are not unimodal over the whole interval), then golden-section
-    contraction localizes the minimizer to ``tol``.
+    A coarse 64-point pre-scan brackets the global basin first (the
+    closed-form profiles are not unimodal over the whole interval), then
+    golden-section contraction localizes the minimizer to 1e-10.
     """
-    xs = np.linspace(lo, hi, pre_scan)
+    xs = np.linspace(1e-4, 1.0 - 1e-4, 64)
     fs = np.array([shift_fn(x) for x in xs])
     if not np.isfinite(fs).all():
         raise NonFiniteObjectiveError("objective returned a non-finite value")
     j = int(np.argmin(fs))
     a = xs[max(j - 1, 0)]
-    b = xs[min(j + 1, pre_scan - 1)]
+    b = xs[min(j + 1, xs.size - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = shift_fn(x1), shift_fn(x2)
-    while b - a > tol:
+    while b - a > 1e-10:
         if not (math.isfinite(f1) and math.isfinite(f2)):
             raise NonFiniteObjectiveError("objective returned a non-finite value")
         if f1 <= f2:

@@ -146,8 +146,7 @@ def _run_evolve(cfg: ExperimentConfig) -> tuple[str, list]:
 def _run_spectrum(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
     sol = solve_linear_spectrum(
-        _build_potential(cfg, grid), grid, cfg.constants(), cfg.n_states,
-        potential_id=cfg.potential_kind,
+        _build_potential(cfg, grid), grid, cfg.constants(), cfg.n_states
     )
     return "spectrum", [(j, float(e)) for j, e in enumerate(sol.energies)]
 
@@ -155,10 +154,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> tuple[str, list]:
 def _run_shift_sweep(cfg: ExperimentConfig, threads: int) -> tuple[str, list]:
     grid = cfg.grid()
     consts = cfg.constants()
-    sol = solve_linear_spectrum(
-        _build_potential(cfg, grid), grid, consts, cfg.n_states,
-        potential_id=cfg.potential_kind,
-    )
+    sol = solve_linear_spectrum(_build_potential(cfg, grid), grid, consts, cfg.n_states)
     points = [
         (eta, L, j)
         for eta in cfg.eta_values

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,13 @@ class TestCli:
     def test_command_mismatch_exit_two(self, tmp_path):
         path = self.write(tmp_path, MINIMAL_EVOLVE)
         assert cli_main(["spectrum", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_file_closed(self, tmp_path):
+        path = self.write(tmp_path, MINIMAL_EVOLVE)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["spectrum", "--config", path]) == 2
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_missing_file_exit_two(self, tmp_path):
         assert cli_main(["evolve", "--config", str(tmp_path / "nope.cfg")]) == 2

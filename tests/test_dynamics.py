@@ -5,9 +5,13 @@ from infonls import (
     NonlinearParams,
     Potential,
     Wavefunction,
+    density,
     dt_max,
     evolve,
     harmonic_potential,
+    integrate,
+    laplacian,
+    nonlinear_term_F,
     normalize,
     rhs_apply,
     rk4_step,
@@ -122,6 +126,34 @@ class TestEvolve:
         )
         e_d = discrete_kinetic_energy(k, g.dx, consts)
         assert np.abs(report.energy_trace - e_d).max() < 1e-8
+
+    def test_energy_trace_reads_each_chained_state(self, consts):
+        # a fast nonlinear packet in a well, with two pinned points; RK4 damps
+        # its energy by ~3e-8 per step, so an off-by-one in the trace shows
+        g = periodic_grid(width=10.0, n=400)
+        mask = np.zeros(g.n_points, dtype=bool)
+        mask[[10, 390]] = True
+        psi = gaussian_state(g, sigma=0.7, k=40.0)
+        psi = Wavefunction(g, np.where(mask, 0.0, psi.values))
+        V = Potential(g, harmonic_potential(g, consts).values, singular_mask=mask)
+        params = make_params(4 * g.dx / 0.5, 0.5, consts)
+        dt = 0.5 * dt_max(g, consts)
+        n_steps = 4
+        report = evolve(psi, V, params, consts, dt, n_steps)
+        kin = -(consts.hbar**2) / (2.0 * consts.mass)
+        rtol = 1e-14
+        state = psi
+        for k in range(n_steps + 1):
+            if k:
+                state = rk4_step(state, V, params, consts, dt)
+            p = density(state)
+            f = nonlinear_term_F(p, params, consts).values
+            h = (np.conj(state.values) * kin * laplacian(state).values).real
+            e = integrate(h + V.values * p.values + p.values * f, g)
+            assert abs(report.energy_trace[k] - e) <= rtol * abs(e)
+        assert np.array_equal(report.final_state.values, state.values)
+        steps = np.abs(np.diff(report.energy_trace))
+        assert steps.min() > 100 * rtol * np.abs(report.energy_trace).max()
 
     def test_time_reversal(self, consts):
         g = periodic_grid(width=10.0, n=400)

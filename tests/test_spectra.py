@@ -78,6 +78,11 @@ class TestLinearSpectrum:
                 )
                 assert abs(overlap) < 1e-8
 
+    def test_zero_states_rejected(self, consts):
+        g = Grid(x_min=-5.0, dx=10.0 / 65, n_points=64, boundary="dirichlet")
+        with pytest.raises(ValueError, match="at least 1"):
+            solve_linear_spectrum(harmonic_potential(g, consts), g, consts, 0)
+
 
 class TestClosedFormProfiles:
     def test_node_profile_zeros_machine(self):
