@@ -210,9 +210,13 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
     grid = cfg.grid()
     for distance, attr, what in shifts:
         try:
-            grid.steps_for(distance)
+            steps = grid.steps_for(distance)
         except IncommensurateShiftError as exc:
             raise _err(lines, attr, f"incommensurate shift ({what}): {exc}") from None
+        # the bound of shift_density; cotangent never shifts a density
+        if abs(steps) >= cfg.n_points and cfg.command != "cotangent":
+            raise _err(lines, attr, f"shift ({what}) spans {abs(steps)} steps; "
+                                    f"must be below n_points = {cfg.n_points}")
     if cfg.command == "evolve":
         if len(cfg.eta_values) != 1 or len(cfg.L_values) != 1:
             raise _err(lines, "eta_values", "evolve requires exactly one eta and one L")

@@ -17,10 +17,6 @@ class IncommensurateShiftError(InfonlsError):
     """A shift distance is not an integer number of grid steps."""
 
 
-class BumpTooLargeError(InfonlsError):
-    """Functional-derivative bump would push the density below its floor."""
-
-
 class UnstableStepError(InfonlsError):
     """Time step exceeds the explicit-scheme stability bound."""
 

@@ -128,38 +128,34 @@ def build_exact_state(spec: ExactSolutionSpec, grid: Grid) -> Wavefunction:
     return normalize(Wavefunction(grid, raw))
 
 
-def _zero_positions(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Positions of zeros: exact zeros plus sign-change crossings."""
-    zs = list(x[values == 0.0])
-    v = values
-    sign_change = (v[:-1] * v[1:]) < 0.0
-    for j in np.where(sign_change)[0]:
-        frac = v[j] / (v[j] - v[j + 1])
-        zs.append(x[j] + frac * (x[j + 1] - x[j]))
-    return np.array(sorted(zs))
+def _near_zeros(values: np.ndarray, x: np.ndarray, radius: float) -> np.ndarray:
+    """Points within ``radius`` of a zero of ``values``: exact zeros plus
+    linearly interpolated sign-change crossings. Rounded subtraction is
+    monotone, so the nearer of the two sorted neighbours decides for all;
+    infinite sentinels give every point two neighbours."""
+    j = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
+    crossings = x[j] + values[j] / (values[j] - values[j + 1]) * (x[j + 1] - x[j])
+    zeros = np.sort(np.concatenate(([-np.inf, np.inf], x[values == 0.0], crossings)))
+    i = np.searchsorted(zeros, x)
+    return (np.abs(x - zeros[i - 1]) < radius) | (np.abs(x - zeros[i]) < radius)
 
 
-def _exclusion_mask(
-    psi_vals: np.ndarray, grid: Grid, radius: float, shift_steps: int
-) -> np.ndarray:
-    """Points where the stationary equation is not faithfully represented:
-    near zeros of the profile, where shifts leave the domain, and where the
-    density sits at its regularization floor (the flooring replaces the true
-    equation there by convention)."""
-    x = grid.x
-    excl = np.zeros(grid.n_points, dtype=bool)
-    zeros = _zero_positions(psi_vals.real, x)
-    for z in zeros:
-        excl |= np.abs(x - z) < radius
-    if shift_steps > 0:
-        excl[:shift_steps] = True
-        excl[grid.n_points - shift_steps:] = True
-    p = psi_vals.real**2 + psi_vals.imag**2
-    excl |= p < 100.0 * FLOOR_REL * p.max()
-    # endpoints use ghost-zero stencils, defined only if the state vanishes
-    excl[0] = excl[0] or psi_vals[0] != 0.0
-    excl[-1] = excl[-1] or psi_vals[-1] != 0.0
-    return excl
+def _stationary_defect(
+    psi: Wavefunction, U: np.ndarray, E: float, consts: PhysConstants, excl: np.ndarray
+) -> tuple[float, float]:
+    """max |(-hbar^2/2m) psi'' + U psi - E psi| scaled by |E| max|psi| off
+    ``excl``, and the excluded fraction. Endpoints use ghost-zero stencils,
+    defined only if the state vanishes there, so they join ``excl`` (in
+    place) otherwise."""
+    grid = psi.grid
+    v = psi.values
+    excl[[0, -1]] |= v[[0, -1]] != 0.0
+    if excl.all():
+        raise AllPointsExcludedError("no grid points left after exclusions")
+    lap = _laplacian_raw(v, grid.dx, grid.boundary)
+    defect = -(consts.hbar**2 / (2.0 * consts.mass)) * lap + U * v - E * v
+    scale = abs(E) * float(np.abs(v).max())
+    return float(np.abs(defect[~excl]).max()) / scale, float(excl.mean())
 
 
 def nonlinear_residual(
@@ -171,21 +167,21 @@ def nonlinear_residual(
     policy: str = "floor",
 ) -> tuple[float, float]:
     """Stationary defect max |(-hbar^2/2m) psi'' + F(p) psi - E psi| scaled by
-    |E| max|psi|, off node neighborhoods and off points whose shifts leave
-    the domain. Returns (max_residual, excluded_fraction)."""
+    |E| max|psi|, off node neighborhoods, off points whose shifts leave the
+    domain and off points at the density floor (the flooring replaces the
+    true equation there by convention). Returns (max_residual,
+    excluded_fraction)."""
     grid = psi.grid
     steps = params.shift_steps(grid)
     v = psi.values
     p = v.real**2 + v.imag**2
     f = _field_raw(p, grid, params, consts, policy, steps)
-    lap = _laplacian_raw(v, grid.dx, grid.boundary)
-    defect = -(consts.hbar**2 / (2.0 * consts.mass)) * lap + f * v - E * v
-    excl = _exclusion_mask(v, grid, node_exclusion_radius, steps)
-    if excl.all():
-        raise AllPointsExcludedError("no grid points left after exclusions")
-    scale = abs(E) * float(np.abs(v).max())
-    max_res = float(np.abs(defect[~excl]).max()) / scale
-    return max_res, float(excl.mean())
+    excl = _near_zeros(v.real, grid.x, node_exclusion_radius)
+    if steps > 0:
+        excl[:steps] = True
+        excl[grid.n_points - steps:] = True
+    excl |= p < 100.0 * FLOOR_REL * p.max()
+    return _stationary_defect(psi, f, E, consts, excl)
 
 
 def default_halfline_grid(kappa: float, params: NonlinearParams) -> Grid:
@@ -286,24 +282,13 @@ def linear_residual_cotangent(
 ) -> float:
     """max |(-hbar^2/2m) psi'' + (A + B cot(beta x)) psi - E psi| scaled by
     |E| max|psi|, off singularity neighborhoods."""
-    grid = psi.grid
-    v = psi.values
-    x = grid.x
+    x = psi.grid.x
     bx = cot.beta * x
-    sin_v = np.sin(bx)
     # singularities: beta x at multiples of pi; locate via the period
     half_period = math.pi / cot.beta
     nearest = np.round(x / half_period) * half_period
     near_sing = np.abs(x - nearest) < exclusion_radius
-    excl = near_sing.copy()
-    excl[0] = excl[0] or v[0] != 0.0
-    excl[-1] = excl[-1] or v[-1] != 0.0
-    if excl.all():
-        raise AllPointsExcludedError("no grid points left after exclusions")
-    vals = np.zeros(grid.n_points)
     ok = ~near_sing
-    vals[ok] = cot.A + cot.B * np.cos(bx[ok]) / sin_v[ok]
-    lap = _laplacian_raw(v, grid.dx, grid.boundary)
-    defect = -(consts.hbar**2 / (2.0 * consts.mass)) * lap + vals * v - E * v
-    scale = abs(E) * float(np.abs(v).max())
-    return float(np.abs(defect[~excl]).max()) / scale
+    vals = np.zeros(x.size)
+    vals[ok] = cot.A + cot.B * np.cos(bx[ok]) / np.sin(bx[ok])
+    return _stationary_defect(psi, vals, E, consts, near_sing)[0]

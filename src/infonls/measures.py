@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BumpTooLargeError
 from .grid import Density, Grid, _laplacian_raw, _shift_raw, integrate
 
 
@@ -82,24 +81,15 @@ def kl_shifted_functional(L: float, policy: str | None = None) -> Callable[[Dens
 def functional_derivative(
     functional: Callable[[Density], float],
     p: Density,
-    bump_eps: float | None = None,
 ) -> np.ndarray:
     """Central-difference functional derivative, one value per grid point.
 
-    dF/dp(x_k) ~ [F(p + e_k) - F(p - e_k)] / (2 eps_k dx). By default the bump
-    is relative, eps_k = 1e-6 * p_k (floored), which balances truncation
-    against rounding; pass ``bump_eps`` for a uniform absolute bump.
+    dF/dp(x_k) ~ [F(p + e_k) - F(p - e_k)] / (2 eps_k dx). The bump is
+    relative, eps_k = 1e-6 * p_k (floored), which balances truncation
+    against rounding.
     """
     v = p.values
-    eps_floor = p.floor()
-    if bump_eps is None:
-        bumps = 1e-6 * np.maximum(v, eps_floor)
-    else:
-        bumps = np.full(v.size, float(bump_eps))
-    if ((v - bumps) < eps_floor).any() and bump_eps is not None:
-        raise BumpTooLargeError(
-            "bump would push the density below its floor at some grid point"
-        )
+    bumps = 1e-6 * np.maximum(v, p.floor())
     out = np.empty(v.size)
     work = v.copy()
     for k in range(v.size):

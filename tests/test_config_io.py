@@ -69,6 +69,26 @@ n_points = 2000
 L = 0.2, 0.1
 """
 
+# a 1501-point half-line grid whose shift eta*L is 2000 steps
+LONG_SHIFT = """
+[run]
+format_version = 1
+command = exact-verify
+
+[grid]
+x_min = 0.0
+dx = 0.000625
+n_points = 1501
+boundary = dirichlet
+
+[nonlinearity]
+eta = 0.8
+L = 1.5625
+
+[exact]
+kappa = 15.0
+"""
+
 
 class TestParse:
     def test_minimal_evolve_defaults(self):
@@ -92,6 +112,23 @@ class TestParse:
             )
             with pytest.raises(ConfigValidationError, match=f"line {line}: incommensurate"):
                 parse_config(bad)
+
+    def test_shift_spanning_grid_named(self):
+        # a shift of n_points steps or more is rejected on its line, as
+        # shift_density would reject it at run time
+        evolve = MINIMAL_EVOLVE.replace("n_points = 1000", "n_points = 10").replace(
+            "L = 0.1", "L = 0.3")
+        measures = MEASURES.replace("n_points = 2000", "n_points = 10").replace(
+            "L = 0.2, 0.1", "L = 0.02, 0.12")
+        for bad, key in ((evolve, "eta ="), (measures, "L ="), (LONG_SHIFT, "eta =")):
+            line = next(
+                i for i, t in enumerate(bad.splitlines(), start=1) if t.startswith(key)
+            )
+            with pytest.raises(ConfigValidationError, match=f"line {line}: shift .* steps"):
+                parse_config(bad)
+        # the cotangent check never shifts a density
+        cfg = parse_config(LONG_SHIFT.replace("exact-verify", "cotangent"))
+        assert cfg.n_points == 1501
 
     def test_error_carries_line_number(self):
         bad = MINIMAL_EVOLVE.replace("eta = 0.5", "eta = 1.5")
@@ -232,6 +269,10 @@ class TestCli:
     def test_config_error_exit_two(self, tmp_path):
         path = self.write(tmp_path, MINIMAL_EVOLVE.replace("eta = 0.5", "eta = 1.5"))
         assert cli_main(["evolve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_shift_spanning_grid_exit_two(self, tmp_path):
+        path = self.write(tmp_path, LONG_SHIFT)
+        assert cli_main(["exact-verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
     def test_command_mismatch_exit_two(self, tmp_path):
         path = self.write(tmp_path, MINIMAL_EVOLVE)

@@ -22,6 +22,7 @@ from infonls.errors import (
     DomainTooShortError,
     ParameterDomainError,
 )
+from infonls.grid import FLOOR_REL
 from conftest import plane_wave, periodic_grid
 
 # closed-form anchors recomputed independently from
@@ -160,6 +161,35 @@ class TestNonlinearResidual:
             e = exact_energy(1.0, params, consts)
             res, _ = nonlinear_residual(psi, e, params, consts, 3 * g.dx)
             assert res < 1e-9
+
+    def test_off_lattice_zeros_excluded(self, consts):
+        # alpha = sin(u) - 0.9 sin(2u) also vanishes where cos(u) = 1/1.8,
+        # between grid points: those zeros come from interpolated sign changes
+        params = params_for(0.1, 0.8, consts)
+        g = halfline_grid(0.8, 0.1, 64, 150)
+        spec = ExactSolutionSpec(kappa=1.0, params=params, alpha=((1, 1.0), (2, -0.9)))
+        psi = build_exact_state(spec, g)
+        e = exact_energy(1.0, params, consts)
+        radius = 3 * g.dx
+        res, frac = nonlinear_residual(psi, e, params, consts, radius)
+        v, x = psi.values.real, g.x
+        zeros = list(x[v == 0.0])
+        crossings = 0
+        for j in range(g.n_points - 1):
+            if v[j] * v[j + 1] < 0.0:
+                zeros.append(x[j] + v[j] / (v[j] - v[j + 1]) * (x[j + 1] - x[j]))
+                crossings += 1
+        assert crossings > 0
+        excl = np.zeros(g.n_points, dtype=bool)
+        for z in zeros:
+            excl |= np.abs(x - z) < radius
+        steps = params.shift_steps(g)
+        excl[:steps] = True
+        excl[-steps:] = True
+        p = np.abs(psi.values) ** 2
+        excl |= p < 100.0 * FLOOR_REL * p.max()
+        assert frac == excl.mean()
+        assert res < 1e-9
 
     def test_all_points_excluded(self, consts):
         params = params_for(0.1, 0.8, consts)

@@ -14,7 +14,7 @@ from infonls import (
     quantum_potential_term,
     shannon_entropy,
 )
-from infonls.errors import BumpTooLargeError, IncommensurateShiftError
+from infonls.errors import IncommensurateShiftError
 from infonls.grid import integrate
 from conftest import gaussian_density, periodic_grid, skewed_density
 
@@ -157,12 +157,6 @@ class TestFunctionalDerivative:
             actual = func(Density(g, p.values + eps * q)) - func(p)
             errs.append(abs(actual - pred))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
-
-    def test_bump_too_large(self):
-        g = periodic_grid(width=6.0, n=64)
-        p = gaussian_density(g, sigma=1.0)
-        with pytest.raises(BumpTooLargeError):
-            functional_derivative(lambda d: d.integral(), p, bump_eps=1.0)
 
 
 class TestLimitLaw:
