@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every field-kernel output over a fixed set of states,
+policies and shifts, one line per array.
+
+The kernels are the shift, the regulated bracket, the quantum potential, the
+full field F, the KL term, the Laplacian, ``rhs_apply``, ``rk4_step`` (both
+signs of dt) and every array of an ``evolve`` report, with and without F. The
+inputs are deterministic, so two checkouts that print the same lines compute
+the same bits. To diff a kernel change against its parent:
+
+    PYTHONPATH=src python3 scripts/array_digests.py > new.txt
+    PYTHONPATH=<parent>/src python3 scripts/array_digests.py > old.txt
+    diff old.txt new.txt
+"""
+
+import argparse
+import hashlib
+import warnings
+
+import numpy as np
+
+from infonls import (
+    Density,
+    ExactSolutionSpec,
+    Grid,
+    NonlinearParams,
+    PhysConstants,
+    Potential,
+    Wavefunction,
+    alpha_node_indices,
+    build_exact_state,
+    dt_max,
+    evolve,
+    harmonic_potential,
+    laplacian,
+    normalize,
+    regularized_kl_term,
+    rhs_apply,
+    rk4_step,
+)
+from infonls.errors import InfonlsError, NonFiniteEvolutionError
+from infonls.grid import _floor_raw, _shift_raw
+from infonls.nonlinearity import _field_raw, _kl_bracket_raw, _quantum_potential_raw
+
+POLICIES = ("floor", "extrap", "periodic")
+#: Regulators the bracket is evaluated at besides the state's own.
+EXTRA_ETAS = (0.25, 1.0)
+#: RK4 steps per evolve call.
+EVOLVE_STEPS = 12
+
+
+def _gaussian(grid, sigma, center, k=0.0):
+    vals = np.exp(-((grid.x - center) ** 2) / (2.0 * sigma**2)) * np.exp(1j * k * grid.x)
+    return normalize(Wavefunction(grid, vals))
+
+
+def states(consts):
+    """(name, psi, potential, params): the fixed inputs."""
+    # the half-line eigenstate of the evolve-exact benchmark, nodes pinned
+    params = NonlinearParams.for_length(0.1, 0.8, consts)
+    grid = Grid(x_min=0.0, dx=0.8 * 0.1 / 16, n_points=2305, boundary="dirichlet")
+    spec = ExactSolutionSpec(kappa=1.0, params=params)
+    pinned = np.zeros(grid.n_points, dtype=bool)
+    pinned[alpha_node_indices(spec, grid)] = True
+    yield "exact", build_exact_state(spec, grid), Potential(
+        grid, np.zeros(grid.n_points), pinned), params
+    # a moving packet in a harmonic well, Dirichlet walls
+    grid = Grid(x_min=-5.0, dx=0.01, n_points=1001, boundary="dirichlet")
+    yield "harmonic", _gaussian(grid, 0.7, -1.0, 3.0), harmonic_potential(
+        grid, consts), NonlinearParams.for_length(0.2, 0.5, consts)
+    # a periodic packet with two pinned points held at zero
+    grid = Grid(x_min=-4.0, dx=0.01, n_points=800, boundary="periodic")
+    vals = _gaussian(grid, 0.5, 0.3, 2.0).values.copy()
+    pinned = np.zeros(grid.n_points, dtype=bool)
+    pinned[[350, 470]] = True
+    vals[pinned] = 0.0
+    yield "pinned", Wavefunction(grid, vals), Potential(
+        grid, harmonic_potential(grid, consts).values, pinned), NonlinearParams.for_length(
+        0.1, 0.3, consts)
+    # a smooth positive periodic state with no symmetry
+    n = 512
+    grid = Grid(x_min=0.0, dx=2 * np.pi / n, n_points=n, boundary="periodic")
+    u = grid.x
+    amp = np.sqrt(1.0 + 0.5 * np.sin(u) + 0.2 * np.cos(2 * u)) * np.exp(2j * u)
+    yield "periodic", normalize(Wavefunction(grid, amp)), Potential(
+        grid, np.zeros(n)), NonlinearParams.for_length(16 * grid.dx / 0.4, 0.4, consts)
+    # degenerate densities: all zero, one spike over exact zeros, subnormal
+    grid = Grid(x_min=0.0, dx=0.01, n_points=256, boundary="dirichlet")
+    params = NonlinearParams.for_length(0.08, 0.5, consts)
+    zero = np.zeros(grid.n_points, dtype=np.complex128)
+    spike = zero.copy()
+    spike[100] = 30.0
+    spike[101] = 1e-3
+    tiny = 1e-155 * np.exp(-((grid.x - 1.2) ** 2) / 0.1)
+    for name, vals in (("zero", zero), ("spike", spike), ("subnormal", tiny)):
+        yield name, Wavefunction(grid, vals), Potential(grid, np.zeros(grid.n_points)), params
+
+
+def digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _outcome(fn):
+    """fn(), or the text of the package error it raises, as bytes to digest."""
+    try:
+        return fn()
+    except InfonlsError as exc:
+        return np.frombuffer(f"{type(exc).__name__}: {exc}".encode(), dtype=np.uint8)
+
+
+def dynamics(label, psi, V, params, consts, policy, dt):
+    """rhs_apply, rk4_step at +-dt and the evolve report arrays."""
+    yield f"{label} rhs_apply", _outcome(
+        lambda: rhs_apply(psi, V, params, consts, policy).values)
+    for step in (dt, -dt):
+        yield f"{label} rk4_step[{step!r}]", _outcome(
+            lambda: rk4_step(psi, V, params, consts, step, policy).values)
+    try:
+        rep, tag = evolve(psi, V, params, consts, dt, EVOLVE_STEPS, policy), "evolve"
+    except NonFiniteEvolutionError as exc:
+        rep, tag = exc.report, "evolve-nonfinite"
+    for field in ("times", "norm_drift", "energy_trace"):
+        yield f"{label} {tag}.{field}", getattr(rep, field)
+    yield f"{label} {tag}.final_state", rep.final_state.values
+
+
+def arrays(consts):
+    """Yield (label, array) for every kernel output."""
+    for name, psi, V, params in states(consts):
+        grid = psi.grid
+        n = grid.n_points
+        p = psi.values.real**2 + psi.values.imag**2
+        eps = _floor_raw(p)
+        steps = params.shift_steps(grid)
+        dt = dt_max(grid, consts)
+        yield f"{name} laplacian", laplacian(psi).values
+        yield f"{name} Q", _quantum_potential_raw(p, grid.dx, grid.boundary, eps, consts)
+        yield from dynamics(f"{name} linear", psi, V, None, consts, grid.default_policy(), dt)
+        for pol in POLICIES:
+            for s in sorted({steps, -steps, 1, -1, n - 1, 1 - n, n // 2 + 3, -(n // 2 + 3)}):
+                yield f"{name} {pol} shift[{s}]", _shift_raw(p, s, pol, eps)
+            for eta in (params.eta, *EXTRA_ETAS):
+                for s in (steps, -steps):
+                    yield (f"{name} {pol} bracket[eta={eta!r},{s}]",
+                           _kl_bracket_raw(p, s, eta, pol, eps))
+            yield (f"{name} {pol} KL",
+                   regularized_kl_term(Density(grid, p), params, pol).values)
+            yield f"{name} {pol} F", _field_raw(p, grid, params, consts, pol, steps)
+            yield from dynamics(f"{name} {pol}", psi, V, params, consts, pol, dt)
+
+
+def main():
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args()
+    consts = PhysConstants()
+    count = 0
+    # degenerate states overflow on purpose; the digests are the output
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for label, a in arrays(consts):
+            print(f"{label} sha256 {digest(a)}")
+            count += 1
+    print(f"{count} arrays")
+
+
+if __name__ == "__main__":
+    main()

@@ -240,6 +240,15 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
         if cfg.boundary != "dirichlet" or cfg.x_min != 0.0:
             raise _err(lines, "boundary", f"{cfg.command} requires a half-line grid "
                                           "(x_min = 0, boundary = dirichlet)")
+        # x = 0 is a singular point of the cotangent potential on every such
+        # grid, so its radius must be positive; exact-verify accepts zero
+        radius = cfg.node_exclusion_radius_steps
+        if cfg.command == "cotangent" and not radius > 0:
+            raise _err(lines, "node_exclusion_radius_steps",
+                       f"node_exclusion_radius_steps = {radius} must be positive")
+        if not radius >= 0:
+            raise _err(lines, "node_exclusion_radius_steps",
+                       f"node_exclusion_radius_steps = {radius} must not be negative")
     if cfg.command == "measures" and (not cfg.L_values):
         raise _err(lines, "L_values", "measures requires an L list")
 

@@ -93,7 +93,7 @@ def _make_rhs(
 ):
     """Right-side closure on raw complex arrays (masked points are pinned)."""
     mask = V.singular_mask
-    any_masked = bool(mask.any())
+    pinned = np.flatnonzero(mask)
     v_ext = np.where(mask, 0.0, V.values)
     kin = -consts.hbar**2 / (2.0 * consts.mass)
     minus_i_over_hbar = -1j / consts.hbar
@@ -103,16 +103,18 @@ def _make_rhs(
     def rhs(psi: np.ndarray, w: np.ndarray | None = None):
         """The right side at psi; given quadrature weights w, also psi's squared
         norm and energy, read from the same Laplacian, density and field."""
-        kin_psi = kin * _laplacian_raw(psi, dx, boundary)
-        h_psi = kin_psi + v_ext * psi
+        kin_psi = _laplacian_raw(psi, dx, boundary)
+        np.multiply(kin, kin_psi, out=kin_psi)
+        h_psi = v_ext * psi
+        h_psi += kin_psi
         if params is not None or w is not None:
-            p = psi.real**2 + psi.imag**2
+            p = psi.real**2
+            p += psi.imag**2
         if params is not None:
             f = _field_raw(p, grid, params, consts, policy, steps)
             h_psi += f * psi
-        out = minus_i_over_hbar * h_psi
-        if any_masked:
-            out[mask] = 0.0
+        out = np.multiply(minus_i_over_hbar, h_psi, out=h_psi)
+        out[pinned] = 0.0
         if w is None:
             return out
         e = np.sum(w * (np.conj(psi) * kin_psi).real) + np.sum(w * v_ext * p)

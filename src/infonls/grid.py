@@ -212,23 +212,22 @@ def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray
         return p.copy()
     if policy == "periodic":
         return np.roll(p, -steps)
+    if policy not in _POLICIES:
+        raise ValueError(f"policy must be one of {_POLICIES}")
     out = np.empty_like(p)
+    # edge points whose source k - steps lies on the grid: the last m for
+    # steps > 0, the first m for steps < 0
+    m = min(abs(steps), n - abs(steps))
     if steps > 0:
         out[: n - steps] = p[steps:]
-        edge = np.arange(n - steps, n)
+        out[n - steps:] = eps
+        known, src = slice(n - m, n), slice(n - m - steps, n - steps)
     else:
         out[-steps:] = p[:steps]
-        edge = np.arange(0, -steps)
-    if policy == "floor":
-        out[edge] = eps
-    elif policy == "extrap":
-        src = edge - steps
-        ok = (src >= 0) & (src < n)
-        vals = np.full(edge.size, eps)
-        vals[ok] = p[edge[ok]] ** 2 / np.maximum(p[src[ok]], eps)
-        out[edge] = vals
-    else:
-        raise ValueError(f"policy must be one of {_POLICIES}")
+        out[:-steps] = eps
+        known, src = slice(0, m), slice(-steps, m - steps)
+    if policy == "extrap":
+        out[known] = p[known] ** 2 / np.maximum(p[src], eps)
     return out
 
 
@@ -247,7 +246,10 @@ def shift_density(p: Density, steps: int, policy: str | None = None) -> Density:
 
 def _laplacian_raw(v: np.ndarray, dx: float, boundary: str) -> np.ndarray:
     out = np.empty_like(v)
-    out[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
+    mid = out[1:-1]
+    np.multiply(2.0, v[1:-1], out=mid)
+    np.subtract(v[2:], mid, out=mid)
+    mid += v[:-2]
     if boundary == "periodic":
         out[0] = v[1] - 2.0 * v[0] + v[-1]
         out[-1] = v[0] - 2.0 * v[-1] + v[-2]

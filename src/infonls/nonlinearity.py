@@ -56,31 +56,53 @@ def _kl_bracket_raw(
 
     Two evaluation paths give the same mathematical value:
 
-    * a log1p form in the density ratios r+- = (p+- - p)/p, used wherever all
-      three densities sit comfortably above the floor; it keeps absolute
-      rounding at the size of the bracket itself, which matters because the
-      prefactor cal_E/eta^4 can exceed 1e9;
-    * the literal floored form at degenerate points (nodes, deep tails).
+    * a log1p form in the density ratios r+- = (p+- - p)/p, evaluated over
+      the whole array and kept wherever all three densities sit comfortably
+      above the floor; it keeps absolute rounding at the size of the bracket
+      itself, which matters because the prefactor cal_E/eta^4 can exceed 1e9;
+    * the literal floored form, evaluated only at the degenerate points
+      (nodes, deep tails), gathered by index and written over the log1p
+      values there.
     """
     pp = _shift_raw(p, +steps, policy, eps)
     pm = _shift_raw(p, -steps, policy, eps)
     safe = (p > 100.0 * eps) & (pp > 100.0 * eps) & (pm > 100.0 * eps)
-    rp = (pp - p) / np.maximum(p, eps)
-    rm = (pm - p) / np.maximum(p, eps)
-    num = (1.0 - eta) * rp - eta * rm + (1.0 - 2.0 * eta) * rp * rm
-    den = (1.0 + eta * rp) * (1.0 + (1.0 - eta) * rm)
-    stable = -np.log1p(eta * rp) + eta * num / np.maximum(den, 1e-300)
+    fp = np.maximum(p, eps)
+    rp = pp - p
+    rp /= fp
+    rm = pm - p
+    rm /= fp
+    erp = eta * rp
+    # num = (1-eta) rp - eta rm + (1-2eta) rp rm
+    out = (1.0 - eta) * rp
+    out -= eta * rm
+    t = (1.0 - 2.0 * eta) * rp
+    t *= rm
+    out += t
+    # den = (1 + eta rp)(1 + (1-eta) rm), floored at 1e-300
+    den = erp + 1.0
+    t = (1.0 - eta) * rm
+    t += 1.0
+    den *= t
+    np.maximum(den, 1e-300, out=den)
+    # out = eta num / den - log1p(eta rp)
+    out *= eta
+    out /= den
+    out -= np.log1p(erp, out=erp)
 
-    d_plus = (1.0 - eta) * p + eta * pp
-    d_minus = (1.0 - eta) * pm + eta * p
-    raw = (
-        np.log(np.maximum(p, eps))
-        - np.log(np.maximum(d_plus, eps))
-        + 1.0
-        - (1.0 - eta) * p / np.maximum(d_plus, eps)
-        - eta * pm / np.maximum(d_minus, eps)
-    )
-    return np.where(safe, stable, raw)
+    idx = np.flatnonzero(~safe)
+    if idx.size:
+        p, pp, pm, fp = p[idx], pp[idx], pm[idx], fp[idx]
+        d_plus = np.maximum((1.0 - eta) * p + eta * pp, eps)
+        d_minus = np.maximum((1.0 - eta) * pm + eta * p, eps)
+        out[idx] = (
+            np.log(fp)
+            - np.log(d_plus)
+            + 1.0
+            - (1.0 - eta) * p / d_plus
+            - eta * pm / d_minus
+        )
+    return out
 
 
 def _quantum_potential_raw(
@@ -88,7 +110,9 @@ def _quantum_potential_raw(
 ) -> np.ndarray:
     s = np.sqrt(p)
     d2s = _laplacian_raw(s, dx, boundary)
-    return (consts.hbar**2 / (2.0 * consts.mass)) * d2s / np.maximum(s, np.sqrt(eps))
+    d2s *= consts.hbar**2 / (2.0 * consts.mass)
+    d2s /= np.maximum(s, np.sqrt(eps), out=s)
+    return d2s
 
 
 def _field_raw(
@@ -101,9 +125,10 @@ def _field_raw(
 ) -> np.ndarray:
     """F(p) on raw arrays: the only evaluation of the full field."""
     eps = _floor_raw(p)
-    pref = params.cal_E / params.eta**4
-    kl = pref * _kl_bracket_raw(p, steps, params.eta, policy, eps)
-    return kl + _quantum_potential_raw(p, grid.dx, grid.boundary, eps, consts)
+    kl = _kl_bracket_raw(p, steps, params.eta, policy, eps)
+    kl *= params.cal_E / params.eta**4
+    kl += _quantum_potential_raw(p, grid.dx, grid.boundary, eps, consts)
+    return kl
 
 
 def _warn_if_unregularized(params: NonlinearParams) -> None:

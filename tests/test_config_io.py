@@ -89,6 +89,30 @@ L = 1.5625
 kappa = 15.0
 """
 
+# a half-line config for the exact-state commands; the shift is 128 steps
+EXACT_VERIFY = """
+[run]
+format_version = 1
+command = exact-verify
+
+[grid]
+x_min = 0.0
+dx = 0.000625
+n_points = 1501
+boundary = dirichlet
+
+[nonlinearity]
+eta = 0.8
+L = 0.1
+
+[exact]
+kappa = 1.0
+"""
+
+
+def with_radius(text, radius, command="exact-verify"):
+    return text.replace("exact-verify", command) + f"node_exclusion_radius_steps = {radius}\n"
+
 
 class TestParse:
     def test_minimal_evolve_defaults(self):
@@ -129,6 +153,19 @@ class TestParse:
         # the cotangent check never shifts a density
         cfg = parse_config(LONG_SHIFT.replace("exact-verify", "cotangent"))
         assert cfg.n_points == 1501
+
+    def test_exclusion_radius_named(self):
+        # x = 0 is singular for the cotangent check, so its radius must be
+        # positive; exact-verify accepts zero but not a negative radius
+        bad = [with_radius(EXACT_VERIFY, r, "cotangent") for r in ("0.0", "-1.0", "nan")]
+        bad += [with_radius(EXACT_VERIFY, r) for r in ("-1.0", "nan")]
+        for text in bad:
+            line = len(text.splitlines())
+            with pytest.raises(ConfigValidationError,
+                               match=f"line {line}: node_exclusion_radius_steps"):
+                parse_config(text)
+        assert parse_config(with_radius(EXACT_VERIFY, "0.0")).node_exclusion_radius_steps == 0.0
+        assert parse_config(with_radius(EXACT_VERIFY, "0.5", "cotangent")).command == "cotangent"
 
     def test_error_carries_line_number(self):
         bad = MINIMAL_EVOLVE.replace("eta = 0.5", "eta = 1.5")
@@ -273,6 +310,10 @@ class TestCli:
     def test_shift_spanning_grid_exit_two(self, tmp_path):
         path = self.write(tmp_path, LONG_SHIFT)
         assert cli_main(["exact-verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_cotangent_zero_radius_exit_two(self, tmp_path):
+        path = self.write(tmp_path, with_radius(EXACT_VERIFY, "0.0", "cotangent"))
+        assert cli_main(["cotangent", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
     def test_command_mismatch_exit_two(self, tmp_path):
         path = self.write(tmp_path, MINIMAL_EVOLVE)

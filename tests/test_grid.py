@@ -140,6 +140,26 @@ class TestShiftDensity:
         assert np.allclose(out[:-2], vals[2:], rtol=1e-14)
         assert out[-1] == pytest.approx(vals[-1] ** 2 / vals[-3], rel=1e-12)
 
+    @pytest.mark.parametrize("steps", [3, -3, 9, -9, 13, -13, 15, -15])
+    @pytest.mark.parametrize("policy", ["extrap", "floor"])
+    def test_edge_fill_matches_pointwise_loop(self, policy, steps):
+        # |steps| > n/2 leaves edge points whose extrapolation source
+        # k - steps is also off the grid: those take the floor
+        vals = np.exp(-0.3 * np.arange(16)) * (1.0 + 0.5 * np.sin(np.arange(16)))
+        vals[[2, 7, 13]] = 0.0  # zero sources exercise the floored denominator
+        p = self._small(vals, boundary="dirichlet")
+        eps = p.floor()
+        n = vals.size
+        expected = np.empty(n)
+        for k in range(n):
+            if 0 <= k + steps < n:
+                expected[k] = vals[k + steps]
+            elif policy == "extrap" and 0 <= k - steps < n:
+                expected[k] = vals[k] ** 2 / max(vals[k - steps], eps)
+            else:
+                expected[k] = eps
+        assert np.array_equal(shift_density(p, steps, policy).values, expected)
+
     def test_step_too_large(self):
         p = self._small([1, 2, 3, 4, 5, 6, 7, 8])
         with pytest.raises(StepTooLargeError):

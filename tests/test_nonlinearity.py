@@ -13,11 +13,61 @@ from infonls import (
     regularized_kl_term,
 )
 from infonls.errors import UnregularizedEtaWarning
+from infonls.grid import _floor_raw, _shift_raw
+from infonls.nonlinearity import _kl_bracket_raw
 from conftest import gaussian_density, periodic_grid, skewed_density
 
 
 def make_params(L, eta):
     return NonlinearParams.for_length(L, eta, PhysConstants())
+
+
+def reference_bracket(p, steps, eta, policy, eps):
+    """The bracket as both branches at every point, selected by np.where."""
+    pp = _shift_raw(p, +steps, policy, eps)
+    pm = _shift_raw(p, -steps, policy, eps)
+    safe = (p > 100.0 * eps) & (pp > 100.0 * eps) & (pm > 100.0 * eps)
+    rp = (pp - p) / np.maximum(p, eps)
+    rm = (pm - p) / np.maximum(p, eps)
+    num = (1.0 - eta) * rp - eta * rm + (1.0 - 2.0 * eta) * rp * rm
+    den = (1.0 + eta * rp) * (1.0 + (1.0 - eta) * rm)
+    stable = -np.log1p(eta * rp) + eta * num / np.maximum(den, 1e-300)
+
+    d_plus = (1.0 - eta) * p + eta * pp
+    d_minus = (1.0 - eta) * pm + eta * p
+    raw = (
+        np.log(np.maximum(p, eps))
+        - np.log(np.maximum(d_plus, eps))
+        + 1.0
+        - (1.0 - eta) * p / np.maximum(d_plus, eps)
+        - eta * pm / np.maximum(d_minus, eps)
+    )
+    return np.where(safe, stable, raw)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# densities with exact zeros, values at the floor and at 100x the floor (the
+# branch threshold), deep tails and spikes of up to 1e6 over them
+_values = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-16.0, max_value=6.0).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def degenerate_densities(draw):
+    p = np.array(draw(st.lists(_values, min_size=8, max_size=48)))
+    eps = _floor_raw(p)
+    n = p.size
+    at_floor = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    at_threshold = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    p[at_floor] = eps
+    p[at_threshold] = 100.0 * eps
+    return p
 
 
 class TestRegularizedKLTerm:
@@ -87,6 +137,47 @@ class TestRegularizedKLTerm:
             np.log(v / np.roll(v, -steps)) + 1.0 - np.roll(v, steps) / v
         )
         assert np.allclose(field, bracket, rtol=1e-9, atol=1e-12 * np.abs(bracket).max())
+
+
+class TestBracketReference:
+    """The bracket evaluates its literal branch only at the degenerate points;
+    it must give the same bits as both branches selected by np.where."""
+
+    @given(
+        p=degenerate_densities(),
+        data=st.data(),
+        eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        policy=st.sampled_from(["floor", "extrap", "periodic"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_two_branch_reference(self, p, data, eta, policy):
+        steps = data.draw(st.integers(1, p.size - 1)) * data.draw(st.sampled_from([1, -1]))
+        eps = _floor_raw(p)
+        with np.errstate(all="ignore"):
+            expected = reference_bracket(p, steps, eta, policy, eps)
+            got = _kl_bracket_raw(p, steps, eta, policy, eps)
+        assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("steps", [16, -16])
+    @pytest.mark.parametrize("eta", [0.3, 0.8, 1.0])
+    def test_all_safe_density(self, steps, eta):
+        # every point and shift above 100x the floor: nothing is gathered
+        g = periodic_grid(width=2 * np.pi, n=256, x_min=0.0)
+        p = skewed_density(g).values
+        eps = _floor_raw(p)
+        assert p.min() > 100.0 * eps
+        assert_same_bits(_kl_bracket_raw(p, steps, eta, "periodic", eps),
+                         reference_bracket(p, steps, eta, "periodic", eps))
+
+    @pytest.mark.parametrize("policy", ["floor", "extrap", "periodic"])
+    def test_all_zero_density(self, policy):
+        # every point takes the literal branch at the 1e-300 floor; away from
+        # the edges every log cancels
+        p = np.zeros(64)
+        eps = _floor_raw(p)
+        got = _kl_bracket_raw(p, 5, 0.6, policy, eps)
+        assert_same_bits(got, reference_bracket(p, 5, 0.6, policy, eps))
+        assert np.all(got[5:-5] == 1.0)
 
 
 class TestQuantumPotential:
