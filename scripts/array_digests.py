@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every field-kernel output over a fixed set of states,
-policies and shifts, one line per array.
+"""Print the sha256 of every field-kernel and exact-state output over a fixed
+set of states, policies and shifts, one line per array.
 
 The kernels are the shift, the regulated bracket, the quantum potential, the
 full field F, the KL term, the Laplacian, ``rhs_apply``, ``rk4_step`` (both
 signs of dt) and every array of an ``evolve`` report, with and without F. The
-inputs are deterministic, so two checkouts that print the same lines compute
-the same bits. To diff a kernel change against its parent:
+exact-state outputs are ``nonlinear_residual`` under ``floor`` and
+``extrap``, ``linear_residual_cotangent`` at several radii and beta scales on
+a commensurate half-line grid and on an off-lattice box grid,
+``exact_energy_bounds`` and ``degeneracy_check``. The inputs are
+deterministic, so two checkouts that print the same lines compute the same
+bits. To diff a change against its parent:
 
     PYTHONPATH=src python3 scripts/array_digests.py > new.txt
     PYTHONPATH=<parent>/src python3 scripts/array_digests.py > old.txt
@@ -15,6 +19,7 @@ the same bits. To diff a kernel change against its parent:
 
 import argparse
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
@@ -29,10 +34,16 @@ from infonls import (
     Wavefunction,
     alpha_node_indices,
     build_exact_state,
+    cotangent_params,
+    degeneracy_check,
     dt_max,
     evolve,
+    exact_energy,
+    exact_energy_bounds,
     harmonic_potential,
     laplacian,
+    linear_residual_cotangent,
+    nonlinear_residual,
     normalize,
     regularized_kl_term,
     rhs_apply,
@@ -47,6 +58,10 @@ POLICIES = ("floor", "extrap", "periodic")
 EXTRA_ETAS = (0.25, 1.0)
 #: RK4 steps per evolve call.
 EVOLVE_STEPS = 12
+#: Exclusion radii of the exact-state residuals, in grid steps.
+RADII = (0.25, 1.0, 3.0, 17.0, 1e9)
+#: Multiples of the right beta (or energy) the residuals are evaluated at.
+SCALES = (1.0, 2.0, 1.37)
 
 
 def _gaussian(grid, sigma, center, k=0.0):
@@ -149,6 +164,58 @@ def arrays(consts):
             yield from dynamics(f"{name} {pol}", psi, V, params, consts, pol, dt)
 
 
+def exact_outputs(consts):
+    """Yield (label, array) for the exact-state residuals, bounds and
+    degeneracy checks."""
+    profiles = (((1, 1.0),), ((1, 1.0), (2, 0.5)), ((1, 1.0), (2, -0.9)))
+    for eta, L, steps, periods in ((0.8, 0.1, 64, 150), (0.8, 0.1, 37, 150),
+                                   (0.3, 2.0, 501, 20), (0.8, 2.0, 500, 15)):
+        params = NonlinearParams.for_length(L, eta, consts)
+        grid = Grid(x_min=0.0, dx=eta * L / steps, n_points=periods * steps + 1,
+                    boundary="dirichlet")
+        e = exact_energy(1.0, params, consts)
+        label = f"eta={eta!r} L={L!r} steps={steps}"
+        yield f"{label} bounds", np.array(exact_energy_bounds(params, consts))
+        for alpha in profiles:
+            psi = build_exact_state(ExactSolutionSpec(kappa=1.0, params=params, alpha=alpha), grid)
+            for pol in ("floor", "extrap"):
+                for r in RADII:
+                    for scale in SCALES:
+                        yield (f"{label} alpha={alpha} {pol} nonlinear_residual[r={r!r},E*{scale!r}]",
+                               _outcome(lambda: np.array(nonlinear_residual(
+                                   psi, scale * e, params, consts, r * grid.dx, pol))))
+        yield f"{label} degeneracy_check", _outcome(lambda: np.array(degeneracy_check(
+            profiles[0], profiles[1], 1.0, params, consts, grid=grid)))
+        psi = build_exact_state(ExactSolutionSpec(kappa=1.0, params=params), grid)
+        cot = cotangent_params(1.0, params, consts)
+        for scale in SCALES:
+            c = type(cot)(A=cot.A, B=cot.B, beta=scale * cot.beta)
+            for r in RADII:
+                yield (f"{label} linear_residual_cotangent[r={r!r},beta*{scale!r}]",
+                       _outcome(lambda: np.array(linear_residual_cotangent(
+                           psi, e, c, consts, r * grid.dx))))
+    for eta, L in ((0.1, 1e-3), (0.5, 1.0), (0.99, 0.1), (0.999999, 2.0)):
+        yield f"eta={eta!r} L={L!r} bounds", np.array(exact_energy_bounds(
+            NonlinearParams.for_length(L, eta, consts), consts))
+    yield "default grid degeneracy_check", np.array(degeneracy_check(
+        ((1, 1.0),), ((1, 1.0), (3, 0.25)), 2.0, NonlinearParams.for_length(0.1, 0.8, consts),
+        consts))
+    # the box limit: x_min = dx, no singular point on the grid
+    n = 2048
+    grid = Grid(x_min=1.0 / (n + 1), dx=1.0 / (n + 1), n_points=n, boundary="dirichlet")
+    k = 3 * np.pi
+    psi = normalize(Wavefunction(grid, np.sin(k * grid.x).astype(complex)))
+    e_d = consts.hbar**2 * 2 * (1 - np.cos(k * grid.dx)) / (2 * consts.mass * grid.dx**2)
+    cot = cotangent_params(1.0, NonlinearParams.for_length(2.0, 0.8, consts), consts)
+    for A, B in ((0.0, 0.0), (cot.A, cot.B)):
+        for scale in SCALES:
+            c = type(cot)(A=A, B=B, beta=scale * cot.beta)
+            for r in (0.0, *RADII):
+                yield (f"box A={A!r} linear_residual_cotangent[r={r!r},beta*{scale!r}]",
+                       _outcome(lambda: np.array(linear_residual_cotangent(
+                           psi, e_d, c, consts, r * grid.dx))))
+
+
 def main():
     argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -158,7 +225,7 @@ def main():
     # degenerate states overflow on purpose; the digests are the output
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        for label, a in arrays(consts):
+        for label, a in itertools.chain(arrays(consts), exact_outputs(consts)):
             print(f"{label} sha256 {digest(a)}")
             count += 1
     print(f"{count} arrays")

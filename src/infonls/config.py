@@ -8,7 +8,7 @@ pairs. parse/render round-trip exactly on valid configs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigParseError, ConfigValidationError, IncommensurateShiftError
 from .grid import Grid, PhysConstants
@@ -82,10 +82,11 @@ class ExperimentConfig:
         )
 
 
-# (section, key) -> (attribute, converter tag)
+# (section, key) -> (attribute, converter tag), in the order render_config
+# writes them
 _SCHEMA = {
-    ("run", "format_version"): ("format_version", "int"),
     ("run", "command"): ("command", "str"),
+    ("run", "format_version"): ("format_version", "int"),
     ("constants", "hbar"): ("hbar", "float"),
     ("constants", "mass"): ("mass", "float"),
     ("grid", "x_min"): ("x_min", "float"),
@@ -113,8 +114,6 @@ _SCHEMA = {
     ("measures", "sigma"): ("density_sigma", "float"),
     ("output", "directory"): ("directory", "str"),
 }
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _SCHEMA.items()}
 
 
 def _convert(tag: str, text: str, line_no: int):
@@ -253,34 +252,27 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
         raise _err(lines, "L_values", "measures requires an L list")
 
 
+def _format(tag: str, value) -> str:
+    """Value text that ``_convert(tag, ...)`` parses back to value."""
+    if tag == "floats":
+        return ", ".join(repr(v) for v in value)
+    if tag == "alpha":
+        return ", ".join(f"{h}:{a!r}" for h, a in value)
+    return repr(value) if tag == "float" else str(value)
+
+
 def render_config(cfg: ExperimentConfig) -> str:
     """Config text whose parse reproduces cfg exactly."""
     defaults = ExperimentConfig(command=cfg.command)
     out: dict[str, list[str]] = {}
-    for f in fields(ExperimentConfig):
-        attr = f.name
-        if attr not in _ATTR_TO_KEY:
-            continue
+    for (section, key), (attr, tag) in _SCHEMA.items():
         value = getattr(cfg, attr)
         if attr != "command" and attr != "format_version" and value == getattr(defaults, attr):
             continue
-        section, key = _ATTR_TO_KEY[attr]
-        if attr == "eta_values" or attr == "L_values":
-            text = ", ".join(repr(v) for v in value)
-            if not text:
-                continue
-        elif attr == "alpha":
-            text = ", ".join(f"{h}:{a!r}" for h, a in value)
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        out.setdefault(section, []).append(f"{key} = {text}")
+        out.setdefault(section, []).append(f"{key} = {_format(tag, value)}")
     chunks = []
-    for section in ("run", "constants", "grid", "nonlinearity", "potential", "spectrum",
-                    "evolve", "eta-opt", "exact", "measures", "output"):
-        if section in out:
-            chunks.append(f"[{section}]")
-            chunks.extend(out[section])
-            chunks.append("")
+    for section, lines in out.items():
+        chunks.append(f"[{section}]")
+        chunks.extend(lines)
+        chunks.append("")
     return "\n".join(chunks)

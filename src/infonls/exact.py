@@ -12,6 +12,10 @@ point by point (off nodes), so residuals sit at rounding level.
 Node placement matters: alpha is evaluated through integer index arithmetic
 so that grid points hitting zeros of the built-in sine harmonics carry exact
 zeros, which both the residual checks and pinned-node evolution rely on.
+Index arithmetic places only these nodes. The linear theory's potential
+A + B cot(beta x) places its singular set analytically instead, at the
+multiples of pi/beta within a radius, so it is defined on any grid; its
+residual is the stationary defect of that same potential.
 """
 
 from __future__ import annotations
@@ -105,12 +109,9 @@ def exact_energy_bounds(
     params: NonlinearParams, consts: PhysConstants
 ) -> tuple[float, float]:
     """(lower, upper) energy bounds over kappa in (0, inf): upper is 0, the
-    lower bound is the gamma -> 0 limit and diverges as eta -> 1."""
-    if not 0.0 < params.eta < 1.0:
-        raise ParameterDomainError("energy bounds require 0 < eta < 1")
-    d = 1.0 - params.eta
-    lower = params.cal_E / params.eta**4 * (1.0 - math.log(d) - 1.0 / d)
-    return lower, 0.0
+    lower bound is the gamma -> 0 (kappa -> inf) limit and diverges as
+    eta -> 1."""
+    return exact_energy(math.inf, params, consts), 0.0
 
 
 def build_exact_state(spec: ExactSolutionSpec, grid: Grid) -> Wavefunction:
@@ -212,16 +213,14 @@ def degeneracy_check(
     """
     if grid is None:
         grid = default_halfline_grid(kappa, params)
-    e_values = []
+    e = exact_energy(kappa, params, consts)
     passes = []
     for alpha in (alpha_1, alpha_2):
         spec = ExactSolutionSpec(kappa=kappa, params=params, alpha=alpha)
         psi = build_exact_state(spec, grid)
-        e = exact_energy(kappa, params, consts)
         res, _ = nonlinear_residual(psi, e, params, consts, 3.0 * grid.dx)
-        e_values.append(e)
         passes.append(res < residual_tol)
-    return e_values[0], e_values[1], bool(passes[0] and passes[1])
+    return e, e, bool(passes[0] and passes[1])
 
 
 @dataclass(frozen=True)
@@ -254,22 +253,24 @@ def cotangent_params(
 
 
 def cotangent_potential(
-    cot: CotangentPotentialParams, grid: Grid, params: NonlinearParams
+    cot: CotangentPotentialParams, grid: Grid, singular_radius: float
 ) -> Potential:
     """Sampled A + B cot(beta x) with the singular set masked.
 
-    cot is evaluated as cos/sin through the same index arithmetic as alpha,
-    so the singular set coincides with the node set exactly.
+    The singular points, the multiples of pi/beta, are placed analytically:
+    a grid point is masked when it lies within ``singular_radius`` of the
+    nearest one, round(x/(pi/beta))*(pi/beta), so the mask exists on any
+    grid. On a commensurate half-line grid a radius below dx/2 masks exactly
+    the nodes of the single-harmonic exact state.
     """
-    if grid.x_min != 0.0:
-        raise ValueError("cotangent potential uses half-line index arithmetic (x_min = 0)")
-    steps = params.shift_steps(grid)
-    k_mod = np.arange(grid.n_points) % steps
-    sin_v = _sine_exact(1, k_mod, steps)
-    cos_v = np.cos(2.0 * np.pi * k_mod / steps)
-    mask = sin_v == 0.0
-    vals = np.zeros(grid.n_points)
-    vals[~mask] = cot.A + cot.B * cos_v[~mask] / sin_v[~mask]
+    x = grid.x
+    half_period = math.pi / cot.beta
+    nearest = np.round(x / half_period) * half_period
+    mask = np.abs(x - nearest) < singular_radius
+    ok = ~mask
+    bx = cot.beta * x
+    vals = np.zeros(x.size)
+    vals[ok] = cot.A + cot.B * np.cos(bx[ok]) / np.sin(bx[ok])
     return Potential(grid, vals, singular_mask=mask)
 
 
@@ -280,15 +281,9 @@ def linear_residual_cotangent(
     consts: PhysConstants,
     exclusion_radius: float,
 ) -> float:
-    """max |(-hbar^2/2m) psi'' + (A + B cot(beta x)) psi - E psi| scaled by
-    |E| max|psi|, off singularity neighborhoods."""
-    x = psi.grid.x
-    bx = cot.beta * x
-    # singularities: beta x at multiples of pi; locate via the period
-    half_period = math.pi / cot.beta
-    nearest = np.round(x / half_period) * half_period
-    near_sing = np.abs(x - nearest) < exclusion_radius
-    ok = ~near_sing
-    vals = np.zeros(x.size)
-    vals[ok] = cot.A + cot.B * np.cos(bx[ok]) / np.sin(bx[ok])
-    return _stationary_defect(psi, vals, E, consts, near_sing)[0]
+    """Stationary defect of psi under ``cotangent_potential``:
+    max |(-hbar^2/2m) psi'' + (A + B cot(beta x)) psi - E psi| scaled by
+    |E| max|psi|, off the singular set masked within ``exclusion_radius``."""
+    V = cotangent_potential(cot, psi.grid, exclusion_radius)
+    # the potential's mask is read-only; the defect adds endpoints in place
+    return _stationary_defect(psi, V.values, E, consts, V.singular_mask.copy())[0]

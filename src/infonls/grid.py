@@ -175,10 +175,11 @@ class Density:
 
 
 def _floor_raw(p: np.ndarray) -> float:
-    """The one floor rule: FLOOR_REL * max(p); 1e-300 for an all-zero density,
-    so that floored logarithms stay finite."""
-    top = float(p.max())
-    return FLOOR_REL * top if top > 0 else 1e-300
+    """The one floor rule: FLOOR_REL * max(p); 1e-300 where that is not
+    positive (an all-zero density, or max(p) below about 5e-312, where the
+    product underflows to 0), so that floored logarithms stay finite."""
+    floor = FLOOR_REL * float(p.max())
+    return floor if floor > 0 else 1e-300
 
 
 def integrate(values: np.ndarray, grid: Grid) -> float:

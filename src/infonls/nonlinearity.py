@@ -7,8 +7,9 @@ field is O(L) once the energy-scale constraint cal_E * L^2 = hbar^2/4m holds.
 
 Every consumer of F evaluates it through ``_field_raw`` (the bracket alone
 through ``_kl_bracket_raw``), and every floor is the one rule
-``FLOOR_REL * max(p)`` of ``grid._floor_raw`` (1e-300 for an all-zero
-density). Floors enter logarithms and denominators only. In particular the
+``FLOOR_REL * max(p)`` of ``grid._floor_raw`` (1e-300 where that product
+is not positive: an all-zero density, or one so small that it underflows).
+Floors enter logarithms and denominators only. In particular the
 second derivative inside the quantum potential acts on the raw sqrt(p):
 flooring it there would break the exact discrete cancellation against the
 kinetic term for real states, which the half-line solutions rely on.

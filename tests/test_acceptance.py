@@ -323,7 +323,7 @@ def test_criterion_14_cotangent_cross_check():
     cot = cotangent_params(kappa, params, CONSTS)
     res = linear_residual_cotangent(psi, e, cot, CONSTS, 3 * g.dx)
     assert res < 1e-5
-    V = cotangent_potential(cot, g, params)
+    V = cotangent_potential(cot, g, 0.25 * g.dx)
     nodes = alpha_node_indices(spec, g)
     assert np.array_equal(np.where(V.singular_mask)[0], nodes)
     report(14, f"linear residual {res:.2e} with (A, B, beta) = "

@@ -62,6 +62,14 @@ class TestRhsApply:
         assert np.all(out.values[mask] == 0.0)
 
 
+    def test_underflowing_density_stays_finite(self, consts):
+        # amplitude 1e-160 floors at 1e-300, not at an underflowed 0
+        g = periodic_grid(width=10.0, n=1000)
+        psi = Wavefunction(g, 1e-160 * np.exp(-g.x**2).astype(complex))
+        out = rhs_apply(psi, zero_potential(g), make_params(0.1, 0.5, consts), consts)
+        assert np.isfinite(out.values.view(np.float64)).all()
+
+
 class TestRk4Step:
     def test_zero_dt_identity(self, consts):
         g = periodic_grid(width=10.0, n=500)

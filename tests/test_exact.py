@@ -11,6 +11,8 @@ from infonls import (
     cotangent_params,
     cotangent_potential,
     degeneracy_check,
+    dt_max,
+    evolve,
     exact_energy,
     exact_energy_bounds,
     linear_residual_cotangent,
@@ -75,6 +77,10 @@ class TestExactEnergy:
     def test_eta_one_rejected(self, consts):
         with pytest.raises(ParameterDomainError):
             exact_energy(1.0, params_for(0.1, 1.0, consts), consts)
+
+    def test_bounds_eta_one_rejected(self, consts):
+        with pytest.raises(ParameterDomainError):
+            exact_energy_bounds(params_for(0.1, 1.0, consts), consts)
 
     def test_lower_bound_diverges_towards_eta_one(self, consts):
         lowers = [
@@ -303,7 +309,70 @@ class TestCotangent:
     def test_singular_set_equals_node_set(self, consts):
         kappa, params, g, psi = self.cot_setup(consts)
         cot = cotangent_params(kappa, params, consts)
-        V = cotangent_potential(cot, g, params)
+        V = cotangent_potential(cot, g, 0.25 * g.dx)
         spec = ExactSolutionSpec(kappa=kappa, params=params)
         nodes = alpha_node_indices(spec, g)
         assert np.array_equal(np.where(V.singular_mask)[0], nodes)
+
+    def test_singular_set_on_odd_steps_grid(self, consts):
+        # 501 steps per shift: the sine's half-period zeros fall between
+        # grid points, so both the mask and the node set hold only the
+        # multiples of eta*L
+        eta, L, kappa = 0.3, 2.0, 1.0
+        params = params_for(L, eta, consts)
+        g = halfline_grid(eta, L, 501, 30)
+        cot = cotangent_params(kappa, params, consts)
+        V = cotangent_potential(cot, g, 0.25 * g.dx)
+        nodes = alpha_node_indices(ExactSolutionSpec(kappa=kappa, params=params), g)
+        assert nodes.size == 31
+        assert np.array_equal(np.where(V.singular_mask)[0], nodes)
+
+    @pytest.mark.parametrize("radius_steps", [0.4, 3.0, 100.0])
+    def test_singular_set_off_lattice(self, consts, radius_steps):
+        # box-limit grid: x_min = dx and a half period of 1639.2 steps, so
+        # no singular point is a grid point; compare with a loop over the
+        # multiples of pi/beta
+        n = 2048
+        dx = 1.0 / (n + 1)
+        g = Grid(x_min=dx, dx=dx, n_points=n, boundary="dirichlet")
+        cot = cotangent_params(1.0, params_for(2.0, 0.8, consts), consts)
+        radius = radius_steps * dx
+        V = cotangent_potential(cot, g, radius)
+        half_period = np.pi / cot.beta
+        ref = np.zeros(n, dtype=bool)
+        for m in range(int(g.x[-1] / half_period) + 2):
+            ref |= np.abs(g.x - m * half_period) < radius
+        assert ref.any() and not ref.all()
+        assert np.array_equal(V.singular_mask, ref)
+        assert np.isfinite(V.values).all()
+        assert np.all(V.values[ref] == 0.0)
+
+    def test_zero_radius_raises(self, consts):
+        # x = 0 is singular; unmasked it would make the residual NaN
+        kappa, params, g, psi = self.cot_setup(consts)
+        cot = cotangent_params(kappa, params, consts)
+        e = exact_energy(kappa, params, consts)
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite off the singular mask"):
+            linear_residual_cotangent(psi, e, cot, consts, 0.0)
+
+    def test_linear_evolution_is_a_phase(self, consts):
+        # the exact state is an eigenstate of the linear theory: evolving it
+        # in the cotangent potential with the nonlinearity off, nodes pinned
+        # by the singular mask, only turns its phase at E/hbar
+        eta, L, kappa = 0.8, 2.0, 1.0
+        params = params_for(L, eta, consts)
+        g = Grid(x_min=0.0, dx=eta * L / 500, n_points=3751, boundary="dirichlet")
+        psi = build_exact_state(ExactSolutionSpec(kappa=kappa, params=params), g)
+        V = cotangent_potential(cotangent_params(kappa, params, consts), g, 0.25 * g.dx)
+        e = exact_energy(kappa, params, consts)
+        n_steps = 1000
+        dt = dt_max(g, consts)
+        rep = evolve(psi, V, None, consts, dt, n_steps)
+        t = n_steps * dt
+        expected = psi.values * np.exp(-1j * e * t / consts.hbar)
+        scale = np.abs(psi.values).max()
+        motion = np.abs(expected - psi.values).max() / scale
+        err = np.abs(rep.final_state.values - expected).max() / scale
+        assert motion > 1e-3
+        assert err < 1e-2 * motion

@@ -233,6 +233,17 @@ class TestFullNonlinearTerm:
         f = nonlinear_term_F(Density(g, np.zeros(128)), params, consts)
         assert np.all(f.values == params.cal_E / params.eta**4)
 
+    def test_underflowing_floor_takes_the_fallback(self, consts):
+        # amplitude 1e-160: max p = 1e-320, where FLOOR_REL * max(p)
+        # underflows to 0, so the floor falls back to 1e-300
+        g = periodic_grid(width=4.0, n=128)
+        params = make_params(0.25, 0.5)
+        p = (1e-160 * np.exp(-g.x**2)) ** 2
+        assert 0.0 < p.max() and 1e-12 * p.max() == 0.0
+        assert _floor_raw(p) == 1e-300
+        f = nonlinear_term_F(Density(g, p), params, consts)
+        assert np.isfinite(f.values).all()
+
     def test_linear_limit_slope(self, consts):
         # windowed max|F| falls at least linearly over four L-halvings
         sigma = 1.0
