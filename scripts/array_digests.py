@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every field-kernel and exact-state output over a fixed
-set of states, policies and shifts, one line per array.
+"""Print the sha256 of every field-kernel, exact-state and measures output
+over a fixed set of states, policies and shifts, one line per array.
 
 The kernels are the shift, the regulated bracket, the quantum potential, the
 full field F, the KL term, the Laplacian, ``rhs_apply``, ``rk4_step`` (both
@@ -8,7 +8,11 @@ signs of dt) and every array of an ``evolve`` report, with and without F. The
 exact-state outputs are ``nonlinear_residual`` under ``floor`` and
 ``extrap``, ``linear_residual_cotangent`` at several radii and beta scales on
 a commensurate half-line grid and on an off-lattice box grid,
-``exact_energy_bounds`` and ``degeneracy_check``. The inputs are
+``exact_energy_bounds`` and ``degeneracy_check``. The measures are
+``kl_divergence_shifted`` (value and error estimate) and
+``kl_shifted_functional`` under every policy, ``fisher_information``,
+``shannon_entropy``, and ``functional_derivative`` of each on a small
+periodic density. The inputs are
 deterministic, so two checkouts that print the same lines compute the same
 bits. To diff a change against its parent:
 
@@ -21,6 +25,7 @@ import argparse
 import hashlib
 import itertools
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 
@@ -40,7 +45,11 @@ from infonls import (
     evolve,
     exact_energy,
     exact_energy_bounds,
+    fisher_information,
+    functional_derivative,
     harmonic_potential,
+    kl_divergence_shifted,
+    kl_shifted_functional,
     laplacian,
     linear_residual_cotangent,
     nonlinear_residual,
@@ -48,6 +57,7 @@ from infonls import (
     regularized_kl_term,
     rhs_apply,
     rk4_step,
+    shannon_entropy,
 )
 from infonls.errors import InfonlsError, NonFiniteEvolutionError
 from infonls.grid import _floor_raw, _shift_raw
@@ -62,6 +72,9 @@ EVOLVE_STEPS = 12
 RADII = (0.25, 1.0, 3.0, 17.0, 1e9)
 #: Multiples of the right beta (or energy) the residuals are evaluated at.
 SCALES = (1.0, 2.0, 1.37)
+#: Points of the periodic density the functional derivatives are taken on;
+#: the oracle makes two functional calls per point.
+ORACLE_POINTS = 48
 
 
 def _gaussian(grid, sigma, center, k=0.0):
@@ -216,6 +229,34 @@ def exact_outputs(consts):
                            psi, e_d, c, consts, r * grid.dx))))
 
 
+def measures_outputs(consts):
+    """Yield (label, array) for the information measures and the
+    functional-derivative oracle."""
+    for name, psi, _, params in states(consts):
+        grid = psi.grid
+        p = Density(grid, psi.values.real**2 + psi.values.imag**2)
+        steps = params.shift_steps(grid)
+        yield f"{name} fisher_information", np.array(astuple(fisher_information(p)))
+        yield f"{name} shannon_entropy", np.array(astuple(shannon_entropy(p)))
+        for pol in POLICIES:
+            for s in sorted({steps, -steps, 1, grid.n_points // 2 + 3}):
+                L = s * grid.dx
+                yield (f"{name} {pol} kl_divergence_shifted[{s}]",
+                       np.array(astuple(kl_divergence_shifted(p, L, pol))))
+                yield (f"{name} {pol} kl_shifted_functional[{s}]",
+                       np.array(kl_shifted_functional(L, pol)(p)))
+    n = ORACLE_POINTS
+    grid = Grid(x_min=0.0, dx=2 * np.pi / n, n_points=n, boundary="periodic")
+    u = grid.x
+    p = Density(grid, np.exp(np.cos(u) + 0.5 * np.sin(2 * u)))
+    functionals = {"fisher_information": lambda q: fisher_information(q).value,
+                   "shannon_entropy": lambda q: shannon_entropy(q).value}
+    for pol in POLICIES:
+        functionals[f"{pol} kl_shifted_functional[3]"] = kl_shifted_functional(3 * grid.dx, pol)
+    for label, fn in functionals.items():
+        yield f"oracle {label} functional_derivative", functional_derivative(fn, p)
+
+
 def main():
     argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -225,7 +266,8 @@ def main():
     # degenerate states overflow on purpose; the digests are the output
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        for label, a in itertools.chain(arrays(consts), exact_outputs(consts)):
+        for label, a in itertools.chain(
+                arrays(consts), exact_outputs(consts), measures_outputs(consts)):
             print(f"{label} sha256 {digest(a)}")
             count += 1
     print(f"{count} arrays")

@@ -99,15 +99,17 @@ def _make_rhs(
     minus_i_over_hbar = -1j / consts.hbar
     steps = params.shift_steps(grid) if params is not None else 0
     dx, boundary = grid.dx, grid.boundary
+    w = grid.quad_weights()
+    wv = w * v_ext
 
-    def rhs(psi: np.ndarray, w: np.ndarray | None = None):
-        """The right side at psi; given quadrature weights w, also psi's squared
-        norm and energy, read from the same Laplacian, density and field."""
+    def rhs(psi: np.ndarray, diagnose: bool = False):
+        """The right side at psi; with ``diagnose``, also psi's squared norm
+        and energy, read from the same Laplacian, density and field."""
         kin_psi = _laplacian_raw(psi, dx, boundary)
         np.multiply(kin, kin_psi, out=kin_psi)
         h_psi = v_ext * psi
         h_psi += kin_psi
-        if params is not None or w is not None:
+        if params is not None or diagnose:
             p = psi.real**2
             p += psi.imag**2
         if params is not None:
@@ -115,12 +117,13 @@ def _make_rhs(
             h_psi += f * psi
         out = np.multiply(minus_i_over_hbar, h_psi, out=h_psi)
         out[pinned] = 0.0
-        if w is None:
+        if not diagnose:
             return out
-        e = np.sum(w * (np.conj(psi) * kin_psi).real) + np.sum(w * v_ext * p)
+        wp = w * p
+        e = np.sum(w * (np.conj(psi) * kin_psi).real) + np.sum(wv * p)
         if params is not None:
-            e += np.sum(w * p * f)
-        return out, float(np.sum(w * p)), float(e)
+            e += np.sum(wp * f)
+        return out, float(np.sum(wp)), float(e)
 
     return rhs
 
@@ -139,11 +142,26 @@ def rhs_apply(
 
 
 def _rk4_raw(psi: np.ndarray, rhs, dt: float, k1: np.ndarray) -> np.ndarray:
-    """One step from psi, given its first stage k1 = rhs(psi)."""
-    k2 = rhs(psi + (0.5 * dt) * k1)
-    k3 = rhs(psi + (0.5 * dt) * k2)
-    k4 = rhs(psi + dt * k3)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One step from psi, given its first stage k1 = rhs(psi). The stage
+    arguments and the combination are built in place, in the order of
+    psi + (dt/6) (k1 + 2 k2 + 2 k3 + k4)."""
+
+    def stage(h: float, k: np.ndarray) -> np.ndarray:
+        arg = np.multiply(h, k)
+        arg += psi
+        return rhs(arg)
+
+    k2 = stage(0.5 * dt, k1)
+    k3 = stage(0.5 * dt, k2)
+    k4 = stage(dt, k3)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += psi
+    return k2
 
 
 def _check_dt(dt: float, grid: Grid, consts: PhysConstants) -> None:
@@ -189,11 +207,10 @@ def evolve(
     grid = psi0.grid
     pol = policy or grid.default_policy()
     rhs = _make_rhs(grid, V, params, consts, pol)
-    w = grid.quad_weights()
     psi = psi0.values.astype(np.complex128)
     # divergence is detected and reported below; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
-        k1, norm0, e0 = rhs(psi, w)
+        k1, norm0, e0 = rhs(psi, diagnose=True)
         times, drift, etrace = [0.0], [0.0], [e0]
         for k in range(1, n_steps + 1):
             psi = _rk4_raw(psi, rhs, dt, k1)
@@ -207,7 +224,7 @@ def evolve(
                 raise NonFiniteEvolutionError(
                     f"non-finite amplitudes after step {k}", report=partial
                 )
-            k1, norm, e = rhs(psi, w)
+            k1, norm, e = rhs(psi, diagnose=True)
             times.append(k * dt)
             drift.append(abs(norm - norm0))
             etrace.append(e)

@@ -261,7 +261,9 @@ def cotangent_potential(
     a grid point is masked when it lies within ``singular_radius`` of the
     nearest one, round(x/(pi/beta))*(pi/beta), so the mask exists on any
     grid. On a commensurate half-line grid a radius below dx/2 masks exactly
-    the nodes of the single-harmonic exact state.
+    the nodes of the single-harmonic exact state. A radius that leaves a
+    singular grid point unmasked (0 or NaN where x = 0 is on the grid)
+    raises ParameterDomainError.
     """
     x = grid.x
     half_period = math.pi / cot.beta
@@ -270,7 +272,14 @@ def cotangent_potential(
     ok = ~mask
     bx = cot.beta * x
     vals = np.zeros(x.size)
-    vals[ok] = cot.A + cot.B * np.cos(bx[ok]) / np.sin(bx[ok])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals[ok] = cot.A + cot.B * np.cos(bx[ok]) / np.sin(bx[ok])
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ParameterDomainError(
+            f"singular_radius {float(singular_radius)!r} leaves the singular "
+            f"point x = {float(x[bad.nonzero()[0][0]])!r} unmasked"
+        )
     return Potential(grid, vals, singular_mask=mask)
 
 

@@ -212,7 +212,11 @@ def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray
     if steps == 0:
         return p.copy()
     if policy == "periodic":
-        return np.roll(p, -steps)
+        out = np.empty_like(p)
+        s = steps % n
+        out[: n - s] = p[s:]
+        out[n - s:] = p[:s]
+        return out
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}")
     out = np.empty_like(p)
@@ -257,7 +261,14 @@ def _laplacian_raw(v: np.ndarray, dx: float, boundary: str) -> np.ndarray:
     else:  # dirichlet: ghost values are zero
         out[0] = v[1] - 2.0 * v[0]
         out[-1] = v[-2] - 2.0 * v[-1]
-    out /= dx * dx
+    if out.dtype.kind == "c":
+        # numpy divides a complex array by a real scalar as this multiply by
+        # the reciprocal, through a slower complex loop: the same bits on
+        # finite parts, except that the division turns some -0.0 into +0.0
+        re_im = out.view(np.float64)
+        re_im *= 1.0 / (dx * dx)
+    else:
+        out /= dx * dx
     return out
 
 

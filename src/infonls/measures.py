@@ -36,17 +36,23 @@ def _quad_error_estimate(integrand: np.ndarray, grid: Grid) -> float:
     return float(grid.dx**2 / 12.0 * integrate(np.abs(d2), grid))
 
 
+def _kl_integrand(p: Density, L: float, policy: str | None) -> np.ndarray:
+    """p ln(p / p(x+L)) pointwise, both log arguments floored."""
+    steps = p.grid.steps_for(L)
+    eps = p.floor()
+    shifted = _shift_raw(p.values, steps, policy or p.grid.default_policy(), eps)
+    integrand = np.log(np.maximum(p.values, eps))
+    integrand -= np.log(np.maximum(shifted, eps, out=shifted), out=shifted)
+    integrand *= p.values
+    return integrand
+
+
 def kl_divergence_shifted(p: Density, L: float, policy: str | None = None) -> FunctionalValue:
     """integral p ln(p / p(x+L)) dx with floored log arguments.
 
     L must be an integer number of grid steps.
     """
-    steps = p.grid.steps_for(L)
-    eps = p.floor()
-    shifted = _shift_raw(p.values, steps, policy or p.grid.default_policy(), eps)
-    integrand = p.values * (
-        np.log(np.maximum(p.values, eps)) - np.log(np.maximum(shifted, eps))
-    )
+    integrand = _kl_integrand(p, L, policy)
     return FunctionalValue(integrate(integrand, p.grid), _quad_error_estimate(integrand, p.grid))
 
 
@@ -74,8 +80,16 @@ def shannon_entropy(p: Density) -> FunctionalValue:
 
 
 def kl_shifted_functional(L: float, policy: str | None = None) -> Callable[[Density], float]:
-    """The shifted relative entropy at fixed L as a plain functional."""
-    return lambda p: kl_divergence_shifted(p, L, policy).value
+    """The shifted relative entropy at fixed L as a plain functional: the
+    value of ``kl_divergence_shifted`` without its quadrature error estimate."""
+
+    def value(p: Density) -> float:
+        v = integrate(_kl_integrand(p, L, policy), p.grid)
+        if not np.isfinite(v):
+            raise ValueError("functional value must be finite")
+        return v
+
+    return value
 
 
 def functional_derivative(

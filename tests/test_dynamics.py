@@ -17,6 +17,7 @@ from infonls import (
     rk4_step,
     zero_potential,
 )
+from infonls.dynamics import _make_rhs, _rk4_raw
 from infonls.errors import NonFiniteEvolutionError, UnstableStepError
 from conftest import gaussian_state, periodic_grid, plane_wave
 
@@ -112,6 +113,39 @@ class TestRk4Step:
             exact = psi.values * np.exp(-1j * e_d * horizon / consts.hbar)
             errs.append(np.abs(state.values - exact).max())
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.15)
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_in_place_stages_match_expression(self, consts, nonlinear):
+        # the stages and the combination are built in place; the reference
+        # is the out-of-place complex expression. The packet's underflowed
+        # tail times a phase carries -0.0 parts, whose signs the complex
+        # products decide, so 20 chained steps are compared on the bits
+        g = periodic_grid(width=10.0, n=1000)
+        x = g.x
+        psi = np.exp(-((x / 0.15) ** 2)) * np.exp(3j * x)
+        assert (np.signbit(psi.view(np.float64)) & (psi.view(np.float64) == 0.0)).any()
+        params = make_params(0.2, 0.5, consts) if nonlinear else None
+        rhs = _make_rhs(g, harmonic_potential(g, consts), params, consts, "periodic")
+
+        def reference(v, dt):
+            k1 = rhs(v)
+            k2 = rhs(v + (0.5 * dt) * k1)
+            k3 = rhs(v + (0.5 * dt) * k2)
+            k4 = rhs(v + dt * k3)
+            return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        for dt in (dt_max(g, consts), -dt_max(g, consts)):
+            ref = out = psi
+            for _ in range(20):
+                ref = reference(ref, dt)
+                out = _rk4_raw(out, rhs, dt, rhs(out))
+            assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        # the step reads psi and k1 without writing them
+        k1 = rhs(psi)
+        before = psi.copy(), k1.copy()
+        _rk4_raw(psi, rhs, dt_max(g, consts), k1)
+        assert np.array_equal(psi.view(np.int64), before[0].view(np.int64))
+        assert np.array_equal(k1.view(np.int64), before[1].view(np.int64))
 
 
 class TestEvolve:

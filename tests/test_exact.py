@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -348,13 +350,30 @@ class TestCotangent:
         assert np.all(V.values[ref] == 0.0)
 
     def test_zero_radius_raises(self, consts):
-        # x = 0 is singular; unmasked it would make the residual NaN
+        # x = 0 is singular; unmasked it would make the residual NaN. The
+        # error names the radius and the point, with no numpy warning first
         kappa, params, g, psi = self.cot_setup(consts)
         cot = cotangent_params(kappa, params, consts)
         e = exact_energy(kappa, params, consts)
-        with np.errstate(divide="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="finite off the singular mask"):
-            linear_residual_cotangent(psi, e, cot, consts, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for radius in (0.0, float("nan")):
+                match = rf"singular_radius {radius!r} .* x = 0\.0 unmasked"
+                with pytest.raises(ParameterDomainError, match=match):
+                    linear_residual_cotangent(psi, e, cot, consts, radius)
+                with pytest.raises(ParameterDomainError, match=match):
+                    cotangent_potential(cot, g, radius)
+
+    def test_zero_radius_valid_off_lattice(self, consts):
+        # on the box-limit grid no singular point is a grid point, so a
+        # radius of 0 masks nothing and the potential is finite
+        n = 2048
+        dx = 1.0 / (n + 1)
+        g = Grid(x_min=dx, dx=dx, n_points=n, boundary="dirichlet")
+        cot = cotangent_params(1.0, params_for(2.0, 0.8, consts), consts)
+        V = cotangent_potential(cot, g, 0.0)
+        assert not V.singular_mask.any()
+        assert np.isfinite(V.values).all()
 
     def test_linear_evolution_is_a_phase(self, consts):
         # the exact state is an eigenstate of the linear theory: evolving it

@@ -18,6 +18,7 @@ from infonls.errors import (
     StepTooLargeError,
     ZeroNormError,
 )
+from infonls.grid import _laplacian_raw, _shift_raw
 from conftest import gaussian_state, periodic_grid, plane_wave
 
 
@@ -178,6 +179,34 @@ class TestShiftDensity:
         assert np.array_equal(out.values, p.values)
 
 
+class TestPeriodicShift:
+    """The periodic shift is built from two slice copies; np.roll is the
+    reference it must match bit for bit."""
+
+    @given(
+        n=st.integers(min_value=8, max_value=64),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_roll(self, n, data, seed):
+        # |steps| up to 3n - 1 wraps more than once
+        steps = data.draw(
+            st.integers(min_value=1 - 3 * n, max_value=3 * n - 1).filter(bool)
+        )
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.0, 2.0, size=n)
+        p[rng.integers(0, n, size=2)] = 0.0
+        out = _shift_raw(p, steps, "periodic", 1e-12)
+        assert np.array_equal(out.view(np.int64), np.roll(p, -steps).view(np.int64))
+
+    def test_zero_steps_copy(self):
+        p = np.linspace(0.0, 1.0, 16)
+        out = _shift_raw(p, 0, "periodic", 1e-12)
+        assert np.array_equal(out, p)
+        assert not np.shares_memory(out, p)
+
+
 class TestLaplacian:
     def test_constant_periodic(self):
         g = periodic_grid(n=128)
@@ -218,3 +247,17 @@ class TestLaplacian:
             Wavefunction(g, v2)
         ).values
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("dx", [0.01, 0.1 / 3, 2 * np.pi / 512, 0.8 * 0.1 / 16])
+    def test_complex_scales_real_stencil(self, boundary, dx):
+        # the complex path multiplies the stencil by 1/dx^2, the real path
+        # (which Q and the residuals use) divides by dx^2: the two agree to
+        # 1 ulp on each part
+        rng = np.random.default_rng(7)
+        g = Grid(x_min=0.0, dx=dx, n_points=257, boundary=boundary)
+        psi = Wavefunction(g, rng.normal(size=257) + 1j * rng.normal(size=257))
+        lap = laplacian(psi).values
+        for part, ref in ((lap.real, psi.values.real), (lap.imag, psi.values.imag)):
+            real = _laplacian_raw(np.ascontiguousarray(ref), dx, boundary)
+            np.testing.assert_array_max_ulp(part, real, maxulp=1)

@@ -159,6 +159,42 @@ class TestFunctionalDerivative:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
 
+class TestKLFunctional:
+    @pytest.mark.parametrize("steps", [13, -7])
+    @pytest.mark.parametrize("policy", ["periodic", "floor", "extrap"])
+    @pytest.mark.parametrize("density_maker", ["gaussian", "skewed"])
+    def test_value_equals_divergence(self, density_maker, policy, steps):
+        # the functional skips only the error estimate: same bits as .value
+        g = periodic_grid(width=2 * np.pi, n=256, x_min=0.0)
+        if density_maker == "gaussian":
+            p = gaussian_density(g, sigma=0.6)
+        else:
+            p = skewed_density(g)
+        L = steps * g.dx
+        value = kl_shifted_functional(L, policy)(p)
+        ref = kl_divergence_shifted(p, L, policy).value
+        assert np.float64(value).view(np.int64) == np.float64(ref).view(np.int64)
+
+    def test_non_finite_value_raises(self):
+        g = periodic_grid(width=2 * np.pi, n=64, x_min=0.0)
+        vals = np.full(64, 1e300)
+        vals[10] = 1e308  # p ln(p / p(x+L)) overflows there
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            kl_shifted_functional(g.dx)(Density(g, vals))
+
+    def test_oracle_calls_functional_twice_per_point(self):
+        g = periodic_grid(width=2 * np.pi, n=48, x_min=0.0)
+        fn = kl_shifted_functional(3 * g.dx)
+        calls = []
+
+        def counted(dens):
+            calls.append(None)
+            return fn(dens)
+
+        functional_derivative(counted, skewed_density(g))
+        assert len(calls) == 2 * g.n_points
+
+
 class TestLimitLaw:
     @pytest.mark.parametrize("density_maker", ["gaussian", "skewed"])
     def test_kl_to_fisher_linear_convergence(self, density_maker):
