@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every field-kernel, exact-state and measures output
-over a fixed set of states, policies and shifts, one line per array.
+"""Print the sha256 of every field-kernel, exact-state, measures and spectra
+output over a fixed set of states, policies and shifts, one line per array.
 
 The kernels are the shift, the regulated bracket, the quantum potential, the
 full field F, the KL term, the Laplacian, ``rhs_apply``, ``rk4_step`` (both
@@ -12,7 +12,13 @@ a commensurate half-line grid and on an off-lattice box grid,
 ``kl_divergence_shifted`` (value and error estimate) and
 ``kl_shifted_functional`` under every policy, ``fisher_information``,
 ``shannon_entropy``, and ``functional_derivative`` of each on a small
-periodic density. The inputs are
+periodic density. The spectra outputs are ``first_order_shift_numeric`` on
+every state at several (eta, steps, policy), in an order that meets each state
+first cold and then with its per-state part reused; ``characteristic_length``;
+``solve_linear_spectrum`` energies of a harmonic well; ``resample_state`` of
+each eigenstate onto two fine grids, so the second reuses the spline; the
+shifts on the resampled states; and ``nodeless_shift_integral`` on the ground
+window. The inputs are
 deterministic, so two checkouts that print the same lines compute the same
 bits. To diff a change against its parent:
 
@@ -39,12 +45,14 @@ from infonls import (
     Wavefunction,
     alpha_node_indices,
     build_exact_state,
+    characteristic_length,
     cotangent_params,
     degeneracy_check,
     dt_max,
     evolve,
     exact_energy,
     exact_energy_bounds,
+    first_order_shift_numeric,
     fisher_information,
     functional_derivative,
     harmonic_potential,
@@ -53,11 +61,14 @@ from infonls import (
     laplacian,
     linear_residual_cotangent,
     nonlinear_residual,
+    nodeless_shift_integral,
     normalize,
     regularized_kl_term,
+    resample_state,
     rhs_apply,
     rk4_step,
     shannon_entropy,
+    solve_linear_spectrum,
 )
 from infonls.errors import InfonlsError, NonFiniteEvolutionError
 from infonls.grid import _floor_raw, _shift_raw
@@ -75,6 +86,12 @@ SCALES = (1.0, 2.0, 1.37)
 #: Points of the periodic density the functional derivatives are taken on;
 #: the oracle makes two functional calls per point.
 ORACLE_POINTS = 48
+#: (eta, steps) of the first-order shifts, in steps of each state's grid; the
+#: first point is a state's first call, the later ones (the first repeated
+#: last) reuse its per-state part.
+SHIFT_POINTS = ((0.8, 16), (0.25, 3), (0.5, 1), (1.0, 7), (0.8, 16))
+#: Points of the two fine grids every coarse eigenstate is resampled onto.
+FINE_POINTS = (1601, 4001)
 
 
 def _gaussian(grid, sigma, center, k=0.0):
@@ -257,6 +274,44 @@ def measures_outputs(consts):
         yield f"oracle {label} functional_derivative", functional_derivative(fn, p)
 
 
+def _shifts(label, psi, consts):
+    """first_order_shift_numeric at every SHIFT_POINTS entry and policy."""
+    for eta, steps in SHIFT_POINTS:
+        params = NonlinearParams.for_length(steps * psi.grid.dx / eta, eta, consts)
+        for pol in POLICIES:
+            res = first_order_shift_numeric(psi, params, consts, pol)
+            yield (f"{label} {pol} first_order_shift_numeric[eta={eta!r},{steps}]",
+                   np.array([res.eta, res.L, res.delta_E]))
+
+
+def spectra_outputs(consts):
+    """Yield (label, array) for the first-order shifts, the eigensolve, the
+    resampling and the nodeless integral."""
+    for name, psi, _, _ in states(consts):
+        yield from _shifts(name, psi, consts)
+        yield f"{name} characteristic_length", np.array(characteristic_length(psi))
+    coarse = Grid(x_min=-8.0, dx=16.0 / 401, n_points=400, boundary="dirichlet")
+    sol = solve_linear_spectrum(harmonic_potential(coarse, consts), coarse, consts, 3)
+    yield "harmonic solve_linear_spectrum energies", sol.energies
+    for j, psi in enumerate(sol.states):
+        for n in FINE_POINTS:
+            fine = Grid(x_min=-6.0, dx=12.0 / (n - 1), n_points=n, boundary="dirichlet")
+            label = f"harmonic state {j} resample_state[{n}]"
+            fine_psi = resample_state(psi, fine)
+            yield label, fine_psi.values
+            yield f"{label} characteristic_length", np.array(characteristic_length(fine_psi))
+            yield from _shifts(label, fine_psi, consts)
+            if j == 0:
+                v = fine_psi.values.real**2
+                inside = np.flatnonzero(v >= 2e-6 * v.max())
+                window = Grid(x_min=float(fine.x[inside[0]]), dx=fine.dx,
+                              n_points=int(inside[-1] - inside[0] + 1), boundary="dirichlet")
+                p = Density(window, v[inside[0]: inside[-1] + 1])
+                for eta, L in ((0.3, 0.05), (0.8, 0.1), (1.0, 0.02)):
+                    yield (f"{label} nodeless_shift_integral[eta={eta!r},L={L!r}]",
+                           np.array(nodeless_shift_integral(p, eta, L, consts)))
+
+
 def main():
     argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -267,7 +322,8 @@ def main():
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         for label, a in itertools.chain(
-                arrays(consts), exact_outputs(consts), measures_outputs(consts)):
+                arrays(consts), exact_outputs(consts), measures_outputs(consts),
+                spectra_outputs(consts)):
             print(f"{label} sha256 {digest(a)}")
             count += 1
     print(f"{count} arrays")

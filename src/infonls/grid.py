@@ -137,6 +137,10 @@ class NonlinearParams:
 class Wavefunction:
     grid: Grid
     values: np.ndarray = field(repr=False)
+    #: Values derived from this state alone, filled on first use by the code
+    #: that needs them (``spectra``); the state is immutable, so they never go
+    #: stale.
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.complex128, copy=True)

@@ -30,7 +30,7 @@ from .grid import (
     PhysConstants,
     Wavefunction,
     _floor_raw,
-    integrate,
+    _readonly,
     normalize,
 )
 from .nonlinearity import _kl_bracket_raw
@@ -99,16 +99,34 @@ def solve_linear_spectrum(
     return EigenSolution(energies, states)
 
 
+def _derived(state: Wavefunction, key: str, build):
+    """build(state), computed on the first use and kept on the state.
+
+    Concurrent first uses may each build; every caller gets the first value
+    stored, and all of them are equal because ``build`` reads only the
+    immutable state.
+    """
+    cache = state._derived
+    try:
+        return cache[key]
+    except KeyError:
+        return cache.setdefault(key, build(state))
+
+
+def _quintic_spline(psi: Wavefunction):
+    return make_interp_spline(psi.grid.x, psi.values.real, k=5)
+
+
 def resample_state(psi: Wavefunction, fine: Grid) -> Wavefunction:
     """Spline-resample a (real) eigenstate onto a finer grid and renormalize.
 
     Eigenvectors of the tridiagonal solve carry inverse-iteration noise of
     order eps_machine / dx^2, which nonlinear functionals amplify; solving on
     a coarse grid and resampling with a quintic spline hands downstream code
-    a smooth density at the fine commensurate spacing.
+    a smooth density at the fine commensurate spacing. The spline is fitted
+    once per coarse state and reused for every fine grid.
     """
-    vals = psi.values.real
-    spl = make_interp_spline(psi.grid.x, vals, k=5)
+    spl = _derived(psi, "quintic_spline", _quintic_spline)
     return normalize(Wavefunction(fine, spl(fine.x).astype(np.complex128)))
 
 
@@ -123,6 +141,20 @@ def characteristic_length(state: Wavefunction) -> float:
     return math.sqrt(2.0 * var)
 
 
+def _shift_state_part(state: Wavefunction) -> tuple[np.ndarray, float, float]:
+    """The eta- and L-independent part of delta_E: the read-only density, its
+    floor, and sum (D sqrt p)^2 over every first difference, boundary ones
+    included (periodic: the wrap; dirichlet: the zero ghosts)."""
+    p = state.values.real**2 + state.values.imag**2
+    s = np.sqrt(p)
+    d = np.diff(s)
+    if state.grid.boundary == "periodic":
+        edge = float((s[0] - s[-1]) ** 2)
+    else:
+        edge = float(s[0] ** 2 + s[-1] ** 2)
+    return _readonly(p), _floor_raw(p), float(np.sum(d * d)) + edge
+
+
 def first_order_shift_numeric(
     state: Wavefunction,
     params: NonlinearParams,
@@ -133,29 +165,28 @@ def first_order_shift_numeric(
     """delta_E = integral p F(p) dx with the unperturbed density.
 
     The quantum-potential part of the expectation is accumulated in first-
-    difference form, - (hbar^2/2m) sum (D sqrt p)^2 dx, which equals the
-    stencil form by summation by parts and is robust to rough state noise.
-    Densities are floored inside logs and denominators; nodes are not
-    excised.
+    difference form, - (hbar^2/2m) sum (D sqrt p)^2 dx, which is robust to
+    rough state noise. By summation by parts it equals sum p Q dx with
+    uniform weights, which is the trapezoid on a periodic grid. On a
+    dirichlet grid the trapezoid halves the end weights, so the trapezoid
+    integral p F differs from delta_E by - (dx/2)(p_0 Q_0 + p_{N-1} Q_{N-1}),
+    which grows as 1/dx when the window ends in the tails. Densities are
+    floored inside logs and denominators; nodes are not excised.
+
+    The density, its floor and the difference sum depend on the state alone,
+    so they are computed on the first call for a state and reused by later
+    calls at any (eta, L, policy).
     """
     grid = state.grid
     steps = params.shift_steps(grid)
     pol = policy or grid.default_policy()
-    p = state.values.real**2 + state.values.imag**2
-    pref = params.cal_E / params.eta**4
-    bracket = _kl_bracket_raw(p, steps, params.eta, pol, _floor_raw(p))
-    kl_part = integrate(p * pref * bracket, grid)
-    s = np.sqrt(p)
-    d = np.diff(s)
-    if grid.boundary == "periodic":
-        qp_part = -(consts.hbar**2 / (2.0 * consts.mass)) * (
-            float(np.sum(d * d)) + float((s[0] - s[-1]) ** 2)
-        ) / grid.dx
-    else:
-        # dirichlet ghosts vanish: boundary differences use ghost zeros
-        qp_part = -(consts.hbar**2 / (2.0 * consts.mass)) * (
-            float(np.sum(d * d)) + float(s[0] ** 2 + s[-1] ** 2)
-        ) / grid.dx
+    p, eps, dsq = _derived(state, "shift_state_part", _shift_state_part)
+    bracket = _kl_bracket_raw(p, steps, params.eta, pol, eps)
+    t = p * (params.cal_E / params.eta**4)
+    t *= bracket
+    t *= grid.quad_weights()
+    kl_part = float(np.sum(t))
+    qp_part = -(consts.hbar**2 / (2.0 * consts.mass)) * dsq / grid.dx
     return ShiftResult(
         eta=params.eta,
         L=params.L,

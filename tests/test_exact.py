@@ -241,6 +241,42 @@ class TestDegeneracy:
         )
         assert both
 
+    # E1 and E2 are one closed form by construction; the evidence of the
+    # degeneracy is each profile's residual at that energy.
+    PAIRS = (
+        (((1, 1.0),), ((1, 1.0), (2, 0.5))),
+        (((1, 1.0),), ((2, 1.0),)),
+        (((1, 1.0),), ((1, 1.0), (3, 0.25))),
+    )
+
+    def _residuals(self, pair, params, consts, g, scale=1.0):
+        e = scale * exact_energy(1.0, params, consts)
+        return [
+            nonlinear_residual(
+                build_exact_state(ExactSolutionSpec(kappa=1.0, params=params, alpha=a), g),
+                e, params, consts, 3.0 * g.dx,
+            )[0]
+            for a in pair
+        ]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_each_profile_residual_below_tolerance(self, consts, pair):
+        params = params_for(0.1, 0.8, consts)
+        g = halfline_grid(0.8, 0.1, 64, 150)
+        assert max(self._residuals(pair, params, consts, g)) < 1e-6
+        # the residual tells energies apart: 10 % off gives about 0.08
+        assert min(self._residuals(pair, params, consts, g, scale=1.1)) > 1e-2
+        assert degeneracy_check(*pair, 1.0, params, consts, grid=g)[2]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_tolerance_below_residuals_fails(self, consts, pair):
+        params = params_for(0.1, 0.8, consts)
+        g = halfline_grid(0.8, 0.1, 64, 150)
+        lo, hi = sorted(self._residuals(pair, params, consts, g))
+        for tol in (0.5 * lo, lo, hi):
+            assert not degeneracy_check(*pair, 1.0, params, consts, grid=g, residual_tol=tol)[2]
+        assert degeneracy_check(*pair, 1.0, params, consts, grid=g, residual_tol=2.0 * hi)[2]
+
 
 class TestCotangent:
     def cot_setup(self, consts):

@@ -1,18 +1,27 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infonls import (
     Density,
     Grid,
     NonlinearParams,
+    PhysConstants,
     Wavefunction,
     characteristic_length,
+    density,
     first_order_shift_numeric,
     harmonic_potential,
     minimize_over_eta,
     node_shift_eta_profile,
     nodeless_shift_integral,
+    nonlinear_term_F,
     normalize,
+    quantum_potential_term,
     resample_state,
     sho_ground_shift_closed,
     solve_linear_spectrum,
@@ -181,6 +190,122 @@ class TestFirstOrderShift:
             num = shifts[e1] / shifts[e2]
             ref = node_shift_eta_profile(e1) / node_shift_eta_profile(e2)
             assert num == pytest.approx(ref, rel=0.05)
+
+
+class TestShiftQuadrature:
+    """delta_E sums p Q with uniform weights (the first-difference form); the
+    trapezoid integral p F halves the two end weights."""
+
+    def _gap(self, psi, params, consts):
+        p = density(psi)
+        pF = p.values * nonlinear_term_F(p, params, consts).values
+        Q = quantum_potential_term(p, consts).values
+        gap = integrate(pF, psi.grid) - first_order_shift_numeric(psi, params, consts).delta_E
+        end = -0.5 * psi.grid.dx * (p.values[0] * Q[0] + p.values[-1] * Q[-1])
+        return gap, end, integrate(np.abs(pF), psi.grid)
+
+    @pytest.mark.parametrize("n", (601, 2401))
+    @pytest.mark.parametrize("node", (False, True))
+    def test_dirichlet_gap_is_end_half_weight_term(self, consts, n, node):
+        g = Grid(x_min=-3.0, dx=6.0 / (n - 1), n_points=n, boundary="dirichlet")
+        vals = np.exp(-g.x**2 / 2) * (g.x if node else 1.0)
+        psi = normalize(Wavefunction(g, vals.astype(complex)))
+        params = NonlinearParams.for_length(5 * g.dx / 0.6, 0.6, consts)
+        gap, end, _ = self._gap(psi, params, consts)
+        # the window ends in the tails, so the end term is far above rounding
+        # (measured: 3.4e-3 to 0.25, equal to the gap within 9e-13 relative)
+        assert end > 1e-3
+        assert gap == pytest.approx(end, rel=1e-9)
+
+    @pytest.mark.parametrize("n", (256, 1024))
+    def test_periodic_gap_is_rounding(self, consts, n):
+        g = Grid(x_min=0.0, dx=2 * np.pi / n, n_points=n, boundary="periodic")
+        amp = np.sqrt(1.0 + 0.5 * np.sin(g.x) + 0.2 * np.cos(2 * g.x)) * np.exp(1j * g.x)
+        psi = normalize(Wavefunction(g, amp))
+        params = NonlinearParams.for_length(6 * g.dx / 0.4, 0.4, consts)
+        gap, _, scale = self._gap(psi, params, consts)
+        assert abs(gap) <= 1e-12 * scale
+
+
+def _reuse_states():
+    g = Grid(x_min=-4.0, dx=8.0 / 511, n_points=512, boundary="dirichlet")
+    node = normalize(Wavefunction(g, (g.x * np.exp(-g.x**2 / 2)).astype(complex)))
+    g = Grid(x_min=0.0, dx=2 * np.pi / 384, n_points=384, boundary="periodic")
+    amp = np.sqrt(1.0 + 0.5 * np.sin(g.x) + 0.2 * np.cos(2 * g.x)) * np.exp(2j * g.x)
+    return {"node": node, "periodic": normalize(Wavefunction(g, amp))}
+
+
+_REUSE_CONSTS = PhysConstants()
+_REUSE_STATES = _reuse_states()
+_REUSE_POINTS = [
+    (eta, steps, pol)
+    for eta in (0.3, 0.8, 1.0)
+    for steps in (1, 4, 9)
+    for pol in ("floor", "extrap", "periodic")
+]
+
+
+def _shift_hex(psi, eta, steps, pol, consts):
+    params = NonlinearParams.for_length(steps * psi.grid.dx / eta, eta, consts)
+    return first_order_shift_numeric(psi, params, consts, pol).delta_E.hex()
+
+
+class TestPerStateReuse:
+    """What a state's first call computes and later calls reuse changes no
+    result bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(_REUSE_STATES)), order=st.permutations(_REUSE_POINTS))
+    def test_warm_shift_equals_fresh_state(self, name, order):
+        warm = _REUSE_STATES[name]  # shared by every example, so warm after the first
+        for eta, steps, pol in order:
+            fresh = Wavefunction(warm.grid, warm.values)
+            assert (_shift_hex(warm, eta, steps, pol, _REUSE_CONSTS)
+                    == _shift_hex(fresh, eta, steps, pol, _REUSE_CONSTS))
+
+    def test_resample_second_grid_equals_cold(self, consts):
+        coarse = Grid(x_min=-8.0, dx=16.0 / 401, n_points=400, boundary="dirichlet")
+        psi = solve_linear_spectrum(harmonic_potential(coarse, consts), coarse, consts, 2).states[1]
+        a = Grid(x_min=-6.0, dx=12.0 / 1600, n_points=1601, boundary="dirichlet")
+        b = Grid(x_min=-5.0, dx=10.0 / 4000, n_points=4001, boundary="dirichlet")
+        first = resample_state(psi, a)
+        warm = resample_state(psi, b)
+        cold = resample_state(Wavefunction(coarse, psi.values), b)
+        assert warm.values.tobytes() == cold.values.tobytes()
+        assert resample_state(psi, a).values.tobytes() == first.values.tobytes()
+
+    def test_cached_density_read_only(self, consts):
+        psi = Wavefunction(_REUSE_STATES["node"].grid, _REUSE_STATES["node"].values)
+        _shift_hex(psi, 0.8, 4, "floor", consts)
+        cached = [v for part in psi._derived.values() for v in part
+                  if isinstance(v, np.ndarray)]
+        assert len(cached) == 1
+        np.testing.assert_array_equal(cached[0], psi.values.real**2 + psi.values.imag**2)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0][0] = 1.0
+
+    def test_concurrent_first_use(self, consts):
+        warm = _REUSE_STATES["periodic"]
+        expected = [_shift_hex(Wavefunction(warm.grid, warm.values), *pt, consts)
+                     for pt in _REUSE_POINTS]
+        shared = Wavefunction(warm.grid, warm.values)
+        results = {}
+
+        def work(i):
+            results[i] = [_shift_hex(shared, *pt, consts) for pt in _REUSE_POINTS]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert results == {i: expected for i in range(6)}
 
 
 class TestNodelessIntegral:
