@@ -18,8 +18,11 @@ first cold and then with its per-state part reused; ``characteristic_length``;
 ``solve_linear_spectrum`` energies of a harmonic well; ``resample_state`` of
 each eigenstate onto two fine grids, so the second reuses the spline; the
 shifts on the resampled states; and ``nodeless_shift_integral`` on the ground
-window. The inputs are
-deterministic, so two checkouts that print the same lines compute the same
+window. The blocked outputs are the bracket, F, ``first_order_shift_numeric``
+and ``nonlinear_residual`` on grids longer than one block of the bracket:
+harmonic eigenstates resampled to 65537 and 131073 points, a periodic skewed
+density of 40001 points and the 76801-point exact half-line state. The inputs
+are deterministic, so two checkouts that print the same lines compute the same
 bits. To diff a change against its parent:
 
     PYTHONPATH=src python3 scripts/array_digests.py > new.txt
@@ -92,6 +95,13 @@ ORACLE_POINTS = 48
 SHIFT_POINTS = ((0.8, 16), (0.25, 3), (0.5, 1), (1.0, 7), (0.8, 16))
 #: Points of the two fine grids every coarse eigenstate is resampled onto.
 FINE_POINTS = (1601, 4001)
+#: Grids of the blocked outputs, each longer than one block of the bracket:
+#: the resampled eigenstates, the periodic density and the exact state.
+BLOCKED_POINTS = (65537, 131073)
+BLOCKED_PERIODIC_POINTS = 40001
+BLOCKED_EXACT = (512, 150)  # steps per shift, periods: 76801 points
+#: (eta, steps) of the blocked outputs, in steps of each grid.
+BLOCKED_SHIFTS = ((0.8, 64), (0.45, 901))
 
 
 def _gaussian(grid, sigma, center, k=0.0):
@@ -312,6 +322,47 @@ def spectra_outputs(consts):
                            np.array(nodeless_shift_integral(p, eta, L, consts)))
 
 
+def _blocked(label, psi, E, consts, policies):
+    """Bracket, F, first-order shift and residual of one long state."""
+    grid = psi.grid
+    p = psi.values.real**2 + psi.values.imag**2
+    eps = _floor_raw(p)
+    for eta, steps in BLOCKED_SHIFTS:
+        params = NonlinearParams.for_length(steps * grid.dx / eta, eta, consts)
+        for pol in policies:
+            tag = f"{label} {pol} [eta={eta!r},{steps}]"
+            for s in (steps, -steps):
+                yield f"{tag} bracket[{s}]", _kl_bracket_raw(p, s, eta, pol, eps)
+            yield f"{tag} F", _field_raw(p, grid, params, consts, pol, steps)
+            res = first_order_shift_numeric(psi, params, consts, pol)
+            yield f"{tag} first_order_shift_numeric", np.array([res.eta, res.L, res.delta_E])
+            yield f"{tag} nonlinear_residual", _outcome(lambda: np.array(nonlinear_residual(
+                psi, E, params, consts, 3.0 * grid.dx, pol)))
+
+
+def blocked_outputs(consts):
+    """Yield (label, array) for the field on grids longer than one block."""
+    coarse = Grid(x_min=-8.0, dx=16.0 / 401, n_points=400, boundary="dirichlet")
+    sol = solve_linear_spectrum(harmonic_potential(coarse, consts), coarse, consts, 2)
+    for j, psi in enumerate(sol.states):
+        for n in BLOCKED_POINTS:
+            fine = Grid(x_min=-6.0, dx=12.0 / (n - 1), n_points=n, boundary="dirichlet")
+            yield from _blocked(f"blocked harmonic state {j} N={n}", resample_state(psi, fine),
+                                float(sol.energies[j]), consts, ("floor", "extrap"))
+    n = BLOCKED_PERIODIC_POINTS
+    grid = Grid(x_min=0.0, dx=2 * np.pi / n, n_points=n, boundary="periodic")
+    u = grid.x
+    amp = np.sqrt(1.0 + 0.45 * np.sin(u + 0.3) + 0.2 * np.cos(2 * u + 1.1))
+    yield from _blocked(f"blocked periodic N={n}", normalize(Wavefunction(grid, amp)), 1.0,
+                        consts, ("periodic",))
+    steps, periods = BLOCKED_EXACT
+    params = NonlinearParams.for_length(0.1, 0.8, consts)
+    grid = Grid(x_min=0.0, dx=0.08 / steps, n_points=periods * steps + 1, boundary="dirichlet")
+    psi = build_exact_state(ExactSolutionSpec(kappa=1.0, params=params), grid)
+    e = exact_energy(1.0, params, consts)
+    yield from _blocked(f"blocked exact N={grid.n_points}", psi, e, consts, ("floor", "extrap"))
+
+
 def main():
     argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -323,7 +374,7 @@ def main():
         warnings.simplefilter("ignore")
         for label, a in itertools.chain(
                 arrays(consts), exact_outputs(consts), measures_outputs(consts),
-                spectra_outputs(consts)):
+                spectra_outputs(consts), blocked_outputs(consts)):
             print(f"{label} sha256 {digest(a)}")
             count += 1
     print(f"{count} arrays")

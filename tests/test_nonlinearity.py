@@ -12,6 +12,7 @@ from infonls import (
     quantum_potential_term,
     regularized_kl_term,
 )
+from infonls import nonlinearity
 from infonls.errors import UnregularizedEtaWarning
 from infonls.grid import _floor_raw, _shift_raw
 from infonls.nonlinearity import _kl_bracket_raw
@@ -48,6 +49,12 @@ def reference_bracket(p, steps, eta, policy, eps):
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype == np.float64
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def block_edges(n, block):
+    """Interior edges of the bracket's blocks of a grid of n points."""
+    blocks = -(-n // block)
+    return [k * n // blocks for k in range(1, blocks)]
 
 
 # densities with exact zeros, values at the floor and at 100x the floor (the
@@ -179,6 +186,49 @@ class TestBracketReference:
         assert_same_bits(got, reference_bracket(p, 5, 0.6, policy, eps))
         assert np.all(got[5:-5] == 1.0)
 
+    @given(
+        p=degenerate_densities(),
+        data=st.data(),
+        eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        block=st.integers(1, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_blocks_match_reference(self, p, data, eta, block):
+        # blocks of 1-7 points cut the 8-48-point densities unevenly; floor,
+        # threshold and zero points sit on both sides of some block edges
+        n = p.size
+        edges = block_edges(n, block)
+        on_edges = data.draw(st.lists(st.sampled_from(edges), max_size=4))
+        eps = _floor_raw(p)
+        for e in on_edges:
+            p[e - 1: e + 1] = data.draw(st.sampled_from([0.0, eps, 100.0 * eps]))
+        eps = _floor_raw(p)
+        steps = data.draw(st.integers(1, n - 1))
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(nonlinearity, "_BLOCK", block)
+            for policy in ("floor", "extrap", "periodic"):
+                for s in (steps, -steps):
+                    assert_same_bits(_kl_bracket_raw(p, s, eta, policy, eps),
+                                     reference_bracket(p, s, eta, policy, eps))
+
+    @pytest.mark.parametrize("policy", ["floor", "extrap", "periodic"])
+    def test_three_blocks_with_a_node(self, policy):
+        # 2 _BLOCK + 3 points: three blocks, the node (an exact zero) on the
+        # first edge, tails under the branch threshold in the first and last
+        # blocks
+        n = 2 * nonlinearity._BLOCK + 3
+        edge = block_edges(n, nonlinearity._BLOCK)[0]
+        u = (np.arange(n) - edge) / (n / 16.0)
+        p = u**2 * np.exp(-(u**2))
+        assert p[edge] == 0.0
+        eps = _floor_raw(p)
+        assert (p[-1000:] < 100.0 * eps).all() and (p[-1000:] > 0.0).all()
+        for eta in (0.3, 0.8):
+            for steps in (700, -700, 1):
+                with np.errstate(all="ignore"):
+                    expected = reference_bracket(p, steps, eta, policy, eps)
+                assert_same_bits(_kl_bracket_raw(p, steps, eta, policy, eps), expected)
+
 
 class TestQuantumPotential:
     def test_constant_zero(self, consts):
@@ -258,6 +308,37 @@ class TestFullNonlinearTerm:
             maxF.append(np.abs(f.values[window]).max())
         slope = np.polyfit(np.log(Ls), np.log(maxF), 1)[0]
         assert slope >= 0.9
+
+    @pytest.mark.parametrize("n", [4096, 2 * nonlinearity._BLOCK + 3])
+    @pytest.mark.parametrize("roll", [1, 37, -1001])
+    def test_translation_covariance_bits(self, consts, n, roll):
+        # F is elementwise in p and its periodic shifts, and the Laplacian
+        # wraps with the interior's association, so rolling p rolls F bit
+        # for bit, whatever points the bracket's blocks start at
+        g = periodic_grid(width=2 * np.pi, n=n, x_min=0.0)
+        p = skewed_density(g)
+        params = make_params(48 * g.dx / 0.6, 0.6)
+        rolled = nonlinear_term_F(Density(g, np.roll(p.values, roll)), params, consts).values
+        assert_same_bits(rolled, np.roll(nonlinear_term_F(p, params, consts).values, roll))
+
+    @pytest.mark.parametrize("eta, rate", [(0.5, 2.0), (0.75, 3.9)])
+    def test_bracket_tends_to_minus_Q(self, consts, eta, rate):
+        # Reginatto (PRA 58, 1775, 1998): as L -> 0 the KL term tends to -Q.
+        # The sum falls at least linearly over L-halvings (measured ratios
+        # 2.005-2.066), and as L^2 at eta = 3/4, where the parity-odd O(L)
+        # part vanishes (3.986-4.007). The grid is longer than one block.
+        n = 40000
+        g = periodic_grid(width=2 * np.pi, n=n, x_min=0.0)
+        assert n > nonlinearity._BLOCK
+        p = skewed_density(g)
+        q = quantum_potential_term(p, consts).values
+        gaps = []
+        for steps in (512, 256, 128, 64, 32):
+            kl = regularized_kl_term(p, make_params(steps * g.dx / eta, eta)).values
+            gaps.append(np.abs(kl + q).max())
+        assert all(a >= rate * b for a, b in zip(gaps, gaps[1:]))
+        # the KL term itself does not vanish: it matches |Q| at the smallest L
+        assert np.abs(kl).max() == pytest.approx(np.abs(q).max(), rel=1e-3)
 
     def test_small_eta_continuity(self, consts):
         # at fixed L the field approaches the linear-theory zero as eta -> 0
