@@ -5,8 +5,8 @@ output over a fixed set of states, policies and shifts, one line per array.
 The kernels are the shift, the regulated bracket, the quantum potential, the
 full field F, the KL term, the Laplacian, ``rhs_apply``, ``rk4_step`` (both
 signs of dt) and every array of an ``evolve`` report, with and without F. The
-exact-state outputs are ``nonlinear_residual`` under ``floor`` and
-``extrap``, ``linear_residual_cotangent`` at several radii and beta scales on
+exact-state outputs are ``nonlinear_residual``,
+``linear_residual_cotangent`` at several radii and beta scales on
 a commensurate half-line grid and on an off-lattice box grid,
 ``exact_energy_bounds`` and ``degeneracy_check``. The measures are
 ``kl_divergence_shifted`` (value and error estimate) and
@@ -218,12 +218,11 @@ def exact_outputs(consts):
         yield f"{label} bounds", np.array(exact_energy_bounds(params, consts))
         for alpha in profiles:
             psi = build_exact_state(ExactSolutionSpec(kappa=1.0, params=params, alpha=alpha), grid)
-            for pol in ("floor", "extrap"):
-                for r in RADII:
-                    for scale in SCALES:
-                        yield (f"{label} alpha={alpha} {pol} nonlinear_residual[r={r!r},E*{scale!r}]",
-                               _outcome(lambda: np.array(nonlinear_residual(
-                                   psi, scale * e, params, consts, r * grid.dx, pol))))
+            for r in RADII:
+                for scale in SCALES:
+                    yield (f"{label} alpha={alpha} nonlinear_residual[r={r!r},E*{scale!r}]",
+                           _outcome(lambda: np.array(nonlinear_residual(
+                               psi, scale * e, params, consts, r * grid.dx))))
         yield f"{label} degeneracy_check", _outcome(lambda: np.array(degeneracy_check(
             profiles[0], profiles[1], 1.0, params, consts, grid=grid)))
         psi = build_exact_state(ExactSolutionSpec(kappa=1.0, params=params), grid)
@@ -336,8 +335,9 @@ def _blocked(label, psi, E, consts, policies):
             yield f"{tag} F", _field_raw(p, grid, params, consts, pol, steps)
             res = first_order_shift_numeric(psi, params, consts, pol)
             yield f"{tag} first_order_shift_numeric", np.array([res.eta, res.L, res.delta_E])
-            yield f"{tag} nonlinear_residual", _outcome(lambda: np.array(nonlinear_residual(
-                psi, E, params, consts, 3.0 * grid.dx, pol)))
+        yield (f"{label} [eta={eta!r},{steps}] nonlinear_residual",
+               _outcome(lambda: np.array(nonlinear_residual(
+                   psi, E, params, consts, 3.0 * grid.dx))))
 
 
 def blocked_outputs(consts):

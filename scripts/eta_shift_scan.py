@@ -57,8 +57,8 @@ def main():
     rows = []
     for eta in etas:
         params = NonlinearParams.for_length(L, eta, consts)
-        res = first_order_shift_numeric(state, params, consts, state_index=1)
-        rows.append((res.eta, res.L, res.state_index, res.delta_E, res.method))
+        res = first_order_shift_numeric(state, params, consts)
+        rows.append((res.eta, res.L, 1, res.delta_E))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = emit_results(rows, "shift_result", out / "shift_result.csv")

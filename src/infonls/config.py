@@ -248,6 +248,9 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
         if not radius >= 0:
             raise _err(lines, "node_exclusion_radius_steps",
                        f"node_exclusion_radius_steps = {radius} must not be negative")
+        # the cotangent potential reproduces only the single-harmonic state
+        if cfg.command == "cotangent" and cfg.alpha != ExperimentConfig.alpha:
+            raise _err(lines, "alpha", "cotangent takes only the default alpha = 1:1.0")
     if cfg.command == "measures" and (not cfg.L_values):
         raise _err(lines, "L_values", "measures requires an L list")
 

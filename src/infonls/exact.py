@@ -32,11 +32,11 @@ from .errors import (
     ParameterDomainError,
 )
 from .grid import (
-    FLOOR_REL,
     Grid,
     NonlinearParams,
     PhysConstants,
     Wavefunction,
+    _floor_raw,
     _laplacian_raw,
     normalize,
 )
@@ -165,23 +165,22 @@ def nonlinear_residual(
     params: NonlinearParams,
     consts: PhysConstants,
     node_exclusion_radius: float,
-    policy: str = "floor",
 ) -> tuple[float, float]:
     """Stationary defect max |(-hbar^2/2m) psi'' + F(p) psi - E psi| scaled by
     |E| max|psi|, off node neighborhoods, off points whose shifts leave the
-    domain and off points at the density floor (the flooring replaces the
-    true equation there by convention). Returns (max_residual,
-    excluded_fraction)."""
+    domain (the only points where the edge policy changes F) and off points
+    at the density floor (the flooring replaces the true equation there by
+    convention). Returns (max_residual, excluded_fraction)."""
     grid = psi.grid
     steps = params.shift_steps(grid)
     v = psi.values
     p = v.real**2 + v.imag**2
-    f = _field_raw(p, grid, params, consts, policy, steps)
+    f = _field_raw(p, grid, params, consts, grid.default_policy(), steps)
     excl = _near_zeros(v.real, grid.x, node_exclusion_radius)
     if steps > 0:
         excl[:steps] = True
         excl[grid.n_points - steps:] = True
-    excl |= p < 100.0 * FLOOR_REL * p.max()
+    excl |= p < 100.0 * _floor_raw(p)
     return _stationary_defect(psi, f, E, consts, excl)
 
 

@@ -120,14 +120,6 @@ class NonlinearParams:
     def for_length(cls, L: float, eta: float, consts: PhysConstants) -> "NonlinearParams":
         return cls(L=L, eta=eta, cal_E=consts.hbar**2 / (4.0 * consts.mass * L * L))
 
-    def validate_constraint(self, consts: PhysConstants) -> None:
-        target = consts.hbar**2 / (4.0 * consts.mass)
-        if abs(self.cal_E * self.L**2 - target) > 1e-12 * target:
-            raise ValueError(
-                f"cal_E * L^2 = {self.cal_E * self.L ** 2} violates the "
-                f"linear-limit constraint {target}"
-            )
-
     def shift_steps(self, grid: Grid) -> int:
         """Grid steps in eta*L; raises IncommensurateShiftError if fractional."""
         return grid.steps_for(self.eta * self.L)
@@ -174,9 +166,6 @@ class Density:
         """Density floor used inside logarithms and denominators."""
         return _floor_raw(self.values)
 
-    def integral(self) -> float:
-        return float(np.sum(self.values * self.grid.quad_weights()))
-
 
 def _floor_raw(p: np.ndarray) -> float:
     """The one floor rule: FLOOR_REL * max(p); 1e-300 where that is not
@@ -210,7 +199,8 @@ def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray
 
     'periodic' wraps, 'floor' fills with the density floor, 'extrap'
     continues geometrically (out[k] = p[k]^2 / p[k - steps], floored
-    denominator), which is exact for exponentially damped profiles.
+    denominator), which is exact for exponentially damped profiles. The two
+    non-periodic policies raise StepTooLargeError unless |steps| < n.
     """
     n = p.size
     if steps == 0:
@@ -223,6 +213,8 @@ def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray
         return out
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}")
+    if abs(steps) >= n:
+        raise StepTooLargeError(f"|steps| = {abs(steps)} must be below n_points = {n}")
     out = np.empty_like(p)
     # edge points whose source k - steps lies on the grid: the last m for
     # steps > 0, the first m for steps < 0

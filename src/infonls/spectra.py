@@ -40,8 +40,6 @@ from .nonlinearity import _kl_bracket_raw
 #: under a = sqrt(hbar / m omega) and energies in units of hbar omega.
 NODELESS_CALIBRATION = 1.0 / 96.0
 
-_METHODS = ("numeric_expectation",)
-
 
 @dataclass(frozen=True)
 class EigenSolution:
@@ -57,13 +55,9 @@ class EigenSolution:
 class ShiftResult:
     eta: float
     L: float
-    state_index: int
     delta_E: float
-    method: str
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
         if not math.isfinite(self.delta_E):
             raise ValueError("delta_E must be finite")
 
@@ -160,7 +154,6 @@ def first_order_shift_numeric(
     params: NonlinearParams,
     consts: PhysConstants,
     policy: str | None = None,
-    state_index: int = -1,
 ) -> ShiftResult:
     """delta_E = integral p F(p) dx with the unperturbed density.
 
@@ -187,13 +180,7 @@ def first_order_shift_numeric(
     t *= grid.quad_weights()
     kl_part = float(np.sum(t))
     qp_part = -(consts.hbar**2 / (2.0 * consts.mass)) * dsq / grid.dx
-    return ShiftResult(
-        eta=params.eta,
-        L=params.L,
-        state_index=state_index,
-        delta_E=kl_part + qp_part,
-        method="numeric_expectation",
-    )
+    return ShiftResult(eta=params.eta, L=params.L, delta_E=kl_part + qp_part)
 
 
 def node_shift_eta_profile(eta: float) -> float:

@@ -49,7 +49,7 @@ from .spectra import (
 )
 
 SCHEMAS = {
-    "shift_result": ("eta", "L", "state_index", "delta_E", "method"),
+    "shift_result": ("eta", "L", "state_index", "delta_E"),
     "eta_opt": ("profile", "eta_star", "value"),
     "spectrum": ("state_index", "energy"),
     "evolve": ("time", "norm_drift", "energy"),
@@ -117,19 +117,15 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> Wavefunction:
     return normalize(Wavefunction(grid, vals.astype(np.complex128)))
 
 
-def _params_list(cfg: ExperimentConfig) -> list[NonlinearParams]:
-    consts = cfg.constants()
-    return [
-        NonlinearParams.for_length(L, eta, consts)
-        for eta in cfg.eta_values
-        for L in cfg.L_values
-    ]
+def _params(cfg: ExperimentConfig) -> NonlinearParams:
+    """The one (eta, L) point of a command that validation limits to one."""
+    return NonlinearParams.for_length(cfg.L_values[0], cfg.eta_values[0], cfg.constants())
 
 
 def _run_evolve(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
     consts = cfg.constants()
-    params = _params_list(cfg)[0]
+    params = _params(cfg)
     report = evolve(
         _initial_state(cfg, grid),
         _build_potential(cfg, grid),
@@ -165,10 +161,8 @@ def _run_shift_sweep(cfg: ExperimentConfig, threads: int) -> tuple[str, list]:
     def work(point):
         eta, L, j = point
         params = NonlinearParams.for_length(L, eta, consts)
-        res = first_order_shift_numeric(
-            sol.states[j], params, consts, policy=cfg.policy or None, state_index=j
-        )
-        return (res.eta, res.L, res.state_index, res.delta_E, res.method)
+        res = first_order_shift_numeric(sol.states[j], params, consts, policy=cfg.policy or None)
+        return (res.eta, res.L, j, res.delta_E)
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -190,7 +184,7 @@ def _run_eta_opt(cfg: ExperimentConfig) -> tuple[str, list]:
 def _run_exact_verify(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
     consts = cfg.constants()
-    params = _params_list(cfg)[0]
+    params = _params(cfg)
     spec = ExactSolutionSpec(kappa=cfg.kappa, params=params, alpha=cfg.alpha)
     psi = build_exact_state(spec, grid)
     e = exact_energy(cfg.kappa, params, consts)
@@ -203,7 +197,7 @@ def _run_exact_verify(cfg: ExperimentConfig) -> tuple[str, list]:
 def _run_cotangent(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
     consts = cfg.constants()
-    params = _params_list(cfg)[0]
+    params = _params(cfg)
     spec = ExactSolutionSpec(kappa=cfg.kappa, params=params)
     psi = build_exact_state(spec, grid)
     e = exact_energy(cfg.kappa, params, consts)

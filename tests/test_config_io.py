@@ -167,6 +167,18 @@ class TestParse:
         assert parse_config(with_radius(EXACT_VERIFY, "0.0")).node_exclusion_radius_steps == 0.0
         assert parse_config(with_radius(EXACT_VERIFY, "0.5", "cotangent")).command == "cotangent"
 
+    def test_cotangent_alpha_named(self):
+        # the cotangent potential reproduces only the single-harmonic state,
+        # so any other alpha is refused on its line; exact-verify takes it
+        cot = EXACT_VERIFY.replace("exact-verify", "cotangent")
+        for alpha in ("1:1.0, 2:0.5", "2:1.0", "1:0.5"):
+            text = cot + f"alpha = {alpha}\n"
+            with pytest.raises(ConfigValidationError,
+                               match=f"line {len(text.splitlines())}: cotangent"):
+                parse_config(text)
+        assert parse_config(cot + "alpha = 1:1.0\n").command == "cotangent"
+        assert parse_config(EXACT_VERIFY + "alpha = 1:1.0, 2:0.5\n").alpha == ((1, 1.0), (2, 0.5))
+
     def test_error_carries_line_number(self):
         bad = MINIMAL_EVOLVE.replace("eta = 0.5", "eta = 1.5")
         line = next(
@@ -214,18 +226,16 @@ class TestParse:
 class TestEmit:
     def test_empty_rows_header_only(self, tmp_path):
         path = emit_results([], "shift_result", tmp_path / "t.csv")
-        assert path.read_text() == "eta,L,state_index,delta_E,method\n"
+        assert path.read_text() == "eta,L,state_index,delta_E\n"
 
     def test_shift_result_header_contract(self, tmp_path):
-        path = emit_results(
-            [(0.5, 0.1, 0, -1e-4, "numeric_expectation")], "shift_result", tmp_path / "t.csv"
-        )
-        assert path.read_text().splitlines()[0] == "eta,L,state_index,delta_E,method"
+        path = emit_results([(0.5, 0.1, 0, -1e-4)], "shift_result", tmp_path / "t.csv")
+        assert path.read_text().splitlines()[0] == "eta,L,state_index,delta_E"
 
     def test_nan_refused(self, tmp_path):
         with pytest.raises(NonFiniteError):
             emit_results(
-                [(0.5, 0.1, 0, float("nan"), "numeric_expectation")],
+                [(0.5, 0.1, 0, float("nan"))],
                 "shift_result",
                 tmp_path / "t.csv",
             )

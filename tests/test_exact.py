@@ -155,7 +155,7 @@ class TestNonlinearResidual:
         params = NonlinearParams.for_length(16 * g.dx / 0.5, 0.5, consts)
         e_cont = consts.hbar**2 * k**2 / (2 * consts.mass)
         e_d = consts.hbar**2 * 2 * (1 - np.cos(k * g.dx)) / (2 * consts.mass * g.dx**2)
-        res, _ = nonlinear_residual(psi, e_d, params, consts, 0.0, policy="periodic")
+        res, _ = nonlinear_residual(psi, e_d, params, consts, 0.0)
         assert res < 1e-8
         assert e_d == pytest.approx(e_cont, rel=1e-3)
 

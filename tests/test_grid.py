@@ -9,9 +9,14 @@ from infonls import (
     NonlinearParams,
     Wavefunction,
     density,
+    evolve,
+    first_order_shift_numeric,
+    kl_divergence_shifted,
     laplacian,
+    nonlinear_term_F,
     normalize,
     shift_density,
+    zero_potential,
 )
 from infonls.errors import (
     IncommensurateShiftError,
@@ -46,7 +51,6 @@ class TestNonlinearParams:
         assert params.cal_E * params.L**2 == pytest.approx(
             consts.hbar**2 / (4 * consts.mass), rel=1e-12
         )
-        params.validate_constraint(consts)
 
     def test_eta_range(self, consts):
         with pytest.raises(ValueError):
@@ -165,6 +169,33 @@ class TestShiftDensity:
         p = self._small([1, 2, 3, 4, 5, 6, 7, 8])
         with pytest.raises(StepTooLargeError):
             shift_density(p, 8)
+
+    @pytest.mark.parametrize("policy", ["floor", "extrap"])
+    @pytest.mark.parametrize("steps", [8, -8, 10, -10])
+    def test_raw_step_too_large(self, policy, steps):
+        # the non-periodic raw shift has the bound of shift_density; a shift
+        # of n steps or more has no point left whose source is on the grid
+        p = np.linspace(1.0, 2.0, 8)
+        with pytest.raises(StepTooLargeError):
+            _shift_raw(p, steps, policy, 1e-12)
+
+    @pytest.mark.parametrize("policy", ["floor", "extrap"])
+    @pytest.mark.parametrize("steps", [10, 12])
+    def test_consumers_step_too_large(self, consts, policy, steps):
+        # eta*L of n and n + 2 steps on a 10-point dirichlet grid
+        g = Grid(x_min=0.0, dx=0.1, n_points=10, boundary="dirichlet")
+        psi = normalize(Wavefunction(g, np.linspace(1.0, 2.0, 10)))
+        p = density(psi)
+        params = NonlinearParams.for_length(steps * g.dx / 0.5, 0.5, consts)
+        calls = (
+            lambda: nonlinear_term_F(p, params, consts, policy),
+            lambda: first_order_shift_numeric(psi, params, consts, policy),
+            lambda: kl_divergence_shifted(p, steps * g.dx, policy),
+            lambda: evolve(psi, zero_potential(g), params, consts, 1e-4, 1, policy),
+        )
+        for call in calls:
+            with pytest.raises(StepTooLargeError):
+                call()
 
     @given(
         steps=st.integers(min_value=-31, max_value=31),

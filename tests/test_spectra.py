@@ -162,7 +162,6 @@ class TestFirstOrderShift:
         params = NonlinearParams.for_length(g.dx / 0.5, 0.5, consts)
         res = first_order_shift_numeric(psi, params, consts)
         assert res.delta_E == pytest.approx(0.0, abs=1e-12)
-        assert res.method == "numeric_expectation"
 
     def test_sho_excited_sign_flip(self, consts):
         # positive shift at small eta, negative at larger eta
