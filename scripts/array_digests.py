@@ -3,11 +3,12 @@
 output over a fixed set of states, policies and shifts, one line per array.
 
 The kernels are the shift, the regulated bracket, the quantum potential, the
-full field F, the KL term, the Laplacian, ``rhs_apply``, ``rk4_step`` (both
-signs of dt) and every array of an ``evolve`` report, with and without F. The
-exact-state outputs are ``nonlinear_residual``,
-``linear_residual_cotangent`` at several radii and beta scales on
-a commensurate half-line grid and on an off-lattice box grid,
+full field F, the KL term (the public ones as a Potential's values and
+singular mask), the Laplacian, ``rhs_apply``, ``rk4_step`` (both signs of dt)
+and every array of an ``evolve`` report, with and without F. The exact-state
+outputs are ``nonlinear_residual``, ``linear_residual_cotangent`` and the
+values and mask of its ``cotangent_potential`` at several radii and beta
+scales on a commensurate half-line grid and on an off-lattice box grid,
 ``exact_energy_bounds`` and ``degeneracy_check``. The measures are
 ``kl_divergence_shifted`` (value and error estimate) and
 ``kl_shifted_functional`` under every policy, ``fisher_information``,
@@ -50,6 +51,7 @@ from infonls import (
     build_exact_state,
     characteristic_length,
     cotangent_params,
+    cotangent_potential,
     degeneracy_check,
     dt_max,
     evolve,
@@ -64,8 +66,10 @@ from infonls import (
     laplacian,
     linear_residual_cotangent,
     nonlinear_residual,
+    nonlinear_term_F,
     nodeless_shift_integral,
     normalize,
+    quantum_potential_term,
     regularized_kl_term,
     resample_state,
     rhs_apply,
@@ -163,6 +167,14 @@ def _outcome(fn):
         return np.frombuffer(f"{type(exc).__name__}: {exc}".encode(), dtype=np.uint8)
 
 
+def _potential(label, fn):
+    """.values and .singular_mask of the Potential fn() returns, or for both
+    the text of the package error it raises."""
+    V = _outcome(fn)
+    for part in ("values", "singular_mask"):
+        yield f"{label}.{part}", getattr(V, part) if isinstance(V, Potential) else V
+
+
 def dynamics(label, psi, V, params, consts, policy, dt):
     """rhs_apply, rk4_step at +-dt and the evolve report arrays."""
     yield f"{label} rhs_apply", _outcome(
@@ -190,6 +202,8 @@ def arrays(consts):
         dt = dt_max(grid, consts)
         yield f"{name} laplacian", laplacian(psi).values
         yield f"{name} Q", _quantum_potential_raw(p, grid.dx, grid.boundary, eps, consts)
+        yield from _potential(f"{name} quantum_potential_term",
+                              lambda: quantum_potential_term(Density(grid, p), consts))
         yield from dynamics(f"{name} linear", psi, V, None, consts, grid.default_policy(), dt)
         for pol in POLICIES:
             for s in sorted({steps, -steps, 1, -1, n - 1, 1 - n, n // 2 + 3, -(n // 2 + 3)}):
@@ -201,6 +215,8 @@ def arrays(consts):
             yield (f"{name} {pol} KL",
                    regularized_kl_term(Density(grid, p), params, pol).values)
             yield f"{name} {pol} F", _field_raw(p, grid, params, consts, pol, steps)
+            yield from _potential(f"{name} {pol} nonlinear_term_F",
+                                  lambda: nonlinear_term_F(Density(grid, p), params, consts, pol))
             yield from dynamics(f"{name} {pol}", psi, V, params, consts, pol, dt)
 
 
@@ -233,6 +249,8 @@ def exact_outputs(consts):
                 yield (f"{label} linear_residual_cotangent[r={r!r},beta*{scale!r}]",
                        _outcome(lambda: np.array(linear_residual_cotangent(
                            psi, e, c, consts, r * grid.dx))))
+                yield from _potential(f"{label} cotangent_potential[r={r!r},beta*{scale!r}]",
+                                      lambda: cotangent_potential(c, grid, r * grid.dx))
     for eta, L in ((0.1, 1e-3), (0.5, 1.0), (0.99, 0.1), (0.999999, 2.0)):
         yield f"eta={eta!r} L={L!r} bounds", np.array(exact_energy_bounds(
             NonlinearParams.for_length(L, eta, consts), consts))
@@ -253,6 +271,8 @@ def exact_outputs(consts):
                 yield (f"box A={A!r} linear_residual_cotangent[r={r!r},beta*{scale!r}]",
                        _outcome(lambda: np.array(linear_residual_cotangent(
                            psi, e_d, c, consts, r * grid.dx))))
+                yield from _potential(f"box A={A!r} cotangent_potential[r={r!r},beta*{scale!r}]",
+                                      lambda: cotangent_potential(c, grid, r * grid.dx))
 
 
 def measures_outputs(consts):

@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     EvolutionReport,
-    Potential,
     dt_max,
     evolve,
     harmonic_potential,
@@ -37,6 +36,7 @@ from .grid import (
     Grid,
     NonlinearParams,
     PhysConstants,
+    Potential,
     Wavefunction,
     density,
     integrate,
@@ -53,7 +53,6 @@ from .measures import (
     shannon_entropy,
 )
 from .nonlinearity import (
-    NonlinearField,
     nonlinear_term_F,
     quantum_potential_term,
     regularized_kl_term,

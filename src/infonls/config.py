@@ -191,6 +191,8 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
         raise _err(lines, "boundary", f"unknown boundary '{cfg.boundary}'")
     if cfg.policy and cfg.policy not in ("periodic", "floor", "extrap"):
         raise _err(lines, "policy", f"unknown policy '{cfg.policy}'")
+    if cfg.policy and cfg.command not in ("evolve", "shift-sweep", "measures"):
+        raise _err(lines, "policy", f"{cfg.command} does not read [nonlinearity] policy")
     if cfg.potential_kind not in POTENTIAL_KINDS:
         raise _err(lines, "potential_kind", f"unknown potential kind '{cfg.potential_kind}'")
     for eta in cfg.eta_values:
@@ -225,6 +227,9 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
             raise _err(lines, "initial_kind", f"unknown initial state '{cfg.initial_kind}'")
     if cfg.command in ("spectrum", "shift-sweep") and cfg.n_states < 1:
         raise _err(lines, "n_states", "n_states must be at least 1")
+    if cfg.command in ("spectrum", "shift-sweep") and cfg.boundary != "dirichlet":
+        # the eigensolver solves the Dirichlet box only
+        raise _err(lines, "boundary", f"{cfg.command} requires boundary = dirichlet")
     if cfg.command == "shift-sweep" and (not cfg.eta_values or not cfg.L_values):
         raise _err(lines, "eta_values", "shift-sweep requires eta and L lists")
     if cfg.command == "eta-opt" and cfg.profile not in ETA_OPT_PROFILES:

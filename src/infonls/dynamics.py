@@ -5,15 +5,16 @@ substage from the substage density. The step limit dt_max = 0.5 m dx^2 / hbar
 is the usual explicit-scheme bound for the free operator; RK4's imaginary-axis
 stability then covers the kinetic spectrum with margin.
 
-Points flagged in ``Potential.singular_mask`` are held fixed: their right
-side is zeroed every substage. This is the interior-Dirichlet treatment a
-singular potential (or a density node, where the discrete quantum potential
-is singular) requires; initial states should vanish there.
+The external potential is a ``grid.Potential``. Points in its singular mask
+are held fixed: their right side is zeroed every substage. This is the
+interior-Dirichlet treatment a singular potential (or a density node, where
+the discrete quantum potential is singular) requires; initial states should
+vanish there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,34 +23,11 @@ from .grid import (
     Grid,
     NonlinearParams,
     PhysConstants,
+    Potential,
     Wavefunction,
     _laplacian_raw,
-    _readonly,
 )
 from .nonlinearity import _field_raw
-
-
-@dataclass(frozen=True)
-class Potential:
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-    singular_mask: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.shape != (self.grid.n_points,):
-            raise ValueError("values length must match grid.n_points")
-        mask = self.singular_mask
-        if mask is None:
-            mask = np.zeros(self.grid.n_points, dtype=bool)
-        else:
-            mask = np.array(mask, dtype=bool, copy=True)
-            if mask.shape != (self.grid.n_points,):
-                raise ValueError("singular_mask length must match grid.n_points")
-        if not np.isfinite(v[~mask]).all():
-            raise ValueError("potential must be finite off the singular mask")
-        object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "singular_mask", _readonly(mask))
 
 
 def zero_potential(grid: Grid) -> Potential:
@@ -89,9 +67,11 @@ def _make_rhs(
     V: Potential,
     params: NonlinearParams | None,
     consts: PhysConstants,
-    policy: str,
+    policy: str | None,
 ):
-    """Right-side closure on raw complex arrays (masked points are pinned)."""
+    """Right-side closure on raw complex arrays (masked points are pinned),
+    under ``policy`` or else the grid's default."""
+    policy = policy or grid.default_policy()
     mask = V.singular_mask
     pinned = np.flatnonzero(mask)
     v_ext = np.where(mask, 0.0, V.values)
@@ -136,8 +116,7 @@ def rhs_apply(
     policy: str | None = None,
 ) -> Wavefunction:
     """(1/i hbar) [ -(hbar^2/2m) psi'' + V psi + F(p) psi ]."""
-    pol = policy or psi.grid.default_policy()
-    rhs = _make_rhs(psi.grid, V, params, consts, pol)
+    rhs = _make_rhs(psi.grid, V, params, consts, policy)
     return Wavefunction(psi.grid, rhs(psi.values.astype(np.complex128)))
 
 
@@ -180,8 +159,7 @@ def rk4_step(
 ) -> Wavefunction:
     """One classical fourth-order step of the full equation."""
     _check_dt(dt, psi.grid, consts)
-    pol = policy or psi.grid.default_policy()
-    rhs = _make_rhs(psi.grid, V, params, consts, pol)
+    rhs = _make_rhs(psi.grid, V, params, consts, policy)
     v = psi.values.astype(np.complex128)
     return Wavefunction(psi.grid, _rk4_raw(v, rhs, dt, rhs(v)))
 
@@ -205,8 +183,7 @@ def evolve(
     """
     _check_dt(dt, psi0.grid, consts)
     grid = psi0.grid
-    pol = policy or grid.default_policy()
-    rhs = _make_rhs(grid, V, params, consts, pol)
+    rhs = _make_rhs(grid, V, params, consts, policy)
     psi = psi0.values.astype(np.complex128)
     # divergence is detected and reported below; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Potential
 from .errors import (
     AllPointsExcludedError,
     DomainTooShortError,
@@ -35,6 +34,7 @@ from .grid import (
     Grid,
     NonlinearParams,
     PhysConstants,
+    Potential,
     Wavefunction,
     _floor_raw,
     _laplacian_raw,
@@ -145,12 +145,13 @@ def _stationary_defect(
     psi: Wavefunction, U: np.ndarray, E: float, consts: PhysConstants, excl: np.ndarray
 ) -> tuple[float, float]:
     """max |(-hbar^2/2m) psi'' + U psi - E psi| scaled by |E| max|psi| off
-    ``excl``, and the excluded fraction. Endpoints use ghost-zero stencils,
-    defined only if the state vanishes there, so they join ``excl`` (in
-    place) otherwise."""
+    ``excl``, and the excluded fraction. On a dirichlet grid the endpoints
+    use ghost-zero stencils, defined only if the state vanishes there, so
+    they join ``excl`` (in place) otherwise; periodic stencils wrap."""
     grid = psi.grid
     v = psi.values
-    excl[[0, -1]] |= v[[0, -1]] != 0.0
+    if grid.boundary == "dirichlet":
+        excl[[0, -1]] |= v[[0, -1]] != 0.0
     if excl.all():
         raise AllPointsExcludedError("no grid points left after exclusions")
     lap = _laplacian_raw(v, grid.dx, grid.boundary)
@@ -167,17 +168,17 @@ def nonlinear_residual(
     node_exclusion_radius: float,
 ) -> tuple[float, float]:
     """Stationary defect max |(-hbar^2/2m) psi'' + F(p) psi - E psi| scaled by
-    |E| max|psi|, off node neighborhoods, off points whose shifts leave the
-    domain (the only points where the edge policy changes F) and off points
-    at the density floor (the flooring replaces the true equation there by
-    convention). Returns (max_residual, excluded_fraction)."""
+    |E| max|psi|, off node neighborhoods, off points whose shifts leave a
+    dirichlet domain (the only points where the edge policy changes F) and
+    off points at the density floor (the flooring replaces the true equation
+    there by convention). Returns (max_residual, excluded_fraction)."""
     grid = psi.grid
     steps = params.shift_steps(grid)
     v = psi.values
     p = v.real**2 + v.imag**2
     f = _field_raw(p, grid, params, consts, grid.default_policy(), steps)
     excl = _near_zeros(v.real, grid.x, node_exclusion_radius)
-    if steps > 0:
+    if steps > 0 and grid.boundary == "dirichlet":
         excl[:steps] = True
         excl[grid.n_points - steps:] = True
     excl |= p < 100.0 * _floor_raw(p)

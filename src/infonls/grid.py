@@ -1,8 +1,10 @@
-"""Uniform 1-D grid, wavefunction/density containers, shifts and derivatives.
+"""Uniform 1-D grid, the grid arrays, shifts and derivatives.
 
-Everything downstream consumes these types. Values are treated as immutable
-once constructed; the arrays are flagged read-only to make accidental
-mutation loud.
+Everything downstream consumes these types. The grid arrays, ``Wavefunction``,
+``Density`` and ``Potential`` (an external potential or the nonlinear term
+F(p)), take one value per grid point through one rule, ``_grid_array``: a
+copy flagged read-only to make accidental mutation loud. Each type then checks
+its own invariant.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ _POLICIES = ("periodic", "floor", "extrap")
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _grid_array(grid: Grid, values, dtype, name: str = "values") -> np.ndarray:
+    """The constructor rule of every grid array: a read-only copy of
+    ``values`` as ``dtype``, one value per grid point."""
+    v = np.array(values, dtype=dtype, copy=True)
+    if v.shape != (grid.n_points,):
+        raise ValueError(f"{name} length must match grid.n_points")
+    return _readonly(v)
 
 
 @dataclass(frozen=True)
@@ -135,16 +146,13 @@ class Wavefunction:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128, copy=True)
-        if v.shape != (self.grid.n_points,):
-            raise ValueError("values length must match grid.n_points")
+        v = _grid_array(self.grid, self.values, np.complex128)
         if not np.isfinite(v.view(np.float64)).all():
             raise NonFiniteError("wavefunction contains non-finite amplitudes")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", v)
 
     def norm_squared(self) -> float:
-        p = self.values.real**2 + self.values.imag**2
-        return float(np.sum(p * self.grid.quad_weights()))
+        return integrate(self.values.real**2 + self.values.imag**2, self.grid)
 
 
 @dataclass(frozen=True)
@@ -153,18 +161,39 @@ class Density:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.shape != (self.grid.n_points,):
-            raise ValueError("values length must match grid.n_points")
+        v = _grid_array(self.grid, self.values, np.float64)
         if not np.isfinite(v).all():
             raise NonFiniteError("density contains non-finite values")
         if (v < 0).any():
             raise ValueError("density must be non-negative")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", v)
 
     def floor(self) -> float:
         """Density floor used inside logarithms and denominators."""
         return _floor_raw(self.values)
+
+
+@dataclass(frozen=True)
+class Potential:
+    """A real array that multiplies psi: an external potential or F(p).
+
+    ``singular_mask`` (empty by default; always empty for F) flags singular
+    points, whose values need not be finite: ``evolve`` pins them, the
+    eigensolver refuses them and the cotangent residual excludes them."""
+
+    grid: Grid
+    values: np.ndarray = field(repr=False)
+    singular_mask: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        v = _grid_array(self.grid, self.values, np.float64)
+        mask = self.singular_mask
+        mask = np.zeros(self.grid.n_points, bool) if mask is None else mask
+        mask = _grid_array(self.grid, mask, bool, "singular_mask")
+        if not (np.isfinite(v) | mask).all():
+            raise ValueError("potential must be finite off the singular mask")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "singular_mask", mask)
 
 
 def _floor_raw(p: np.ndarray) -> float:

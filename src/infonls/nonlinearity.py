@@ -4,6 +4,7 @@ F(p) is the sum of a regulated logarithmic bracket built from densities
 sampled at x and x +- eta*L, and the quantum-potential term. On constant
 densities every piece cancels identically; for smooth densities the whole
 field is O(L) once the energy-scale constraint cal_E * L^2 = hbar^2/4m holds.
+F multiplies psi as a potential does: the public terms are ``grid.Potential``.
 
 Every consumer of F evaluates it through ``_field_raw`` (the bracket alone
 through ``_kl_bracket_raw``), and every floor is the one rule
@@ -26,7 +27,6 @@ are those of one pass over the whole array.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,25 +36,11 @@ from .grid import (
     Grid,
     NonlinearParams,
     PhysConstants,
+    Potential,
     _floor_raw,
     _laplacian_raw,
-    _readonly,
     _shift_raw,
 )
-
-
-@dataclass(frozen=True)
-class NonlinearField:
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.shape != (self.grid.n_points,):
-            raise ValueError("values length must match grid.n_points")
-        if not np.isfinite(v).all():
-            raise ValueError("nonlinear field must be finite after flooring")
-        object.__setattr__(self, "values", _readonly(v))
 
 
 #: Points per block of the bracket, chosen by measurement (2-core Xeon,
@@ -190,23 +176,23 @@ def _warn_if_unregularized(params: NonlinearParams) -> None:
 
 def regularized_kl_term(
     p: Density, params: NonlinearParams, policy: str | None = None
-) -> NonlinearField:
+) -> Potential:
     """(cal_E/eta^4) times the regulated bracket of shifted densities."""
     _warn_if_unregularized(params)
     steps = params.shift_steps(p.grid)
     pol = policy or p.grid.default_policy()
     pref = params.cal_E / params.eta**4
-    return NonlinearField(
+    return Potential(
         p.grid, pref * _kl_bracket_raw(p.values, steps, params.eta, pol, p.floor())
     )
 
 
-def quantum_potential_term(p: Density, consts: PhysConstants) -> NonlinearField:
+def quantum_potential_term(p: Density, consts: PhysConstants) -> Potential:
     """(hbar^2/2m) (d^2 sqrt(p) / dx^2) / sqrt(p), floored denominator."""
     vals = _quantum_potential_raw(
         p.values, p.grid.dx, p.grid.boundary, p.floor(), consts
     )
-    return NonlinearField(p.grid, vals)
+    return Potential(p.grid, vals)
 
 
 def nonlinear_term_F(
@@ -214,15 +200,15 @@ def nonlinear_term_F(
     params: NonlinearParams | None,
     consts: PhysConstants,
     policy: str | None = None,
-) -> NonlinearField:
+) -> Potential:
     """Full nonlinear term: regulated bracket plus quantum potential.
 
     ``params=None`` selects the linear theory (the eta -> 0 convention),
     where F vanishes identically.
     """
     if params is None:
-        return NonlinearField(p.grid, np.zeros(p.grid.n_points))
+        return Potential(p.grid, np.zeros(p.grid.n_points))
     _warn_if_unregularized(params)
     steps = params.shift_steps(p.grid)
     pol = policy or p.grid.default_policy()
-    return NonlinearField(p.grid, _field_raw(p.values, p.grid, params, consts, pol, steps))
+    return Potential(p.grid, _field_raw(p.values, p.grid, params, consts, pol, steps))

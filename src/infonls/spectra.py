@@ -16,7 +16,6 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 from scipy.linalg import eigh_tridiagonal
 
-from .dynamics import Potential
 from .errors import (
     ConvergenceFailureError,
     NodeDetectedError,
@@ -28,6 +27,7 @@ from .grid import (
     Grid,
     NonlinearParams,
     PhysConstants,
+    Potential,
     Wavefunction,
     _floor_raw,
     _readonly,
@@ -71,8 +71,13 @@ def solve_linear_spectrum(
     """Lowest eigenpairs of the tridiagonal Dirichlet Hamiltonian.
 
     Walls sit one grid step outside the first and last points, so a hard box
-    spans (n_points + 1) * dx.
+    spans (n_points + 1) * dx. A periodic grid, which the tridiagonal cannot
+    wrap, or a potential on another grid raises ValueError.
     """
+    if grid.boundary != "dirichlet":
+        raise ValueError(f"eigensolver requires a dirichlet grid, not {grid.boundary!r}")
+    if V.grid != grid:
+        raise ValueError("potential must be sampled on the eigensolver's grid")
     if V.singular_mask.any():
         raise ValueError("eigensolver requires a potential with no singular points")
     if not 1 <= n_states < grid.n_points / 4:

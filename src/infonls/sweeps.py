@@ -21,13 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, render_config
-from .dynamics import (
-    Potential,
-    evolve,
-    harmonic_potential,
-    quartic_potential,
-    zero_potential,
-)
+from .dynamics import evolve, harmonic_potential, quartic_potential, zero_potential
 from .errors import NonFiniteError
 from .exact import (
     ExactSolutionSpec,
@@ -38,7 +32,7 @@ from .exact import (
     linear_residual_cotangent,
     nonlinear_residual,
 )
-from .grid import Density, Grid, NonlinearParams, Wavefunction, normalize
+from .grid import Density, Grid, NonlinearParams, Potential, Wavefunction, normalize
 from .measures import fisher_information, kl_divergence_shifted, shannon_entropy
 from .spectra import (
     first_order_shift_numeric,

@@ -179,6 +179,39 @@ class TestParse:
         assert parse_config(cot + "alpha = 1:1.0\n").command == "cotangent"
         assert parse_config(EXACT_VERIFY + "alpha = 1:1.0, 2:0.5\n").alpha == ((1, 1.0), (2, 0.5))
 
+    def test_spectrum_requires_dirichlet_named(self):
+        # the eigensolver solves the Dirichlet box only; a periodic grid is
+        # refused on its boundary line, or without one when the key is absent
+        for command in ("spectrum", "shift-sweep"):
+            text = SWEEP.replace("shift-sweep", command)
+            bad = text.replace("boundary = dirichlet", "boundary = periodic")
+            line = bad.splitlines().index("boundary = periodic") + 1
+            with pytest.raises(ConfigValidationError,
+                               match=f"line {line}: {command} requires boundary = dirichlet"):
+                parse_config(bad)
+            with pytest.raises(ConfigValidationError, match="^" + command):
+                parse_config(text.replace("boundary = dirichlet\n", ""))
+            assert parse_config(text).command == command
+
+    @pytest.mark.parametrize("command", ["spectrum", "eta-opt", "exact-verify", "cotangent"])
+    def test_unread_policy_named(self, command):
+        # these commands never shift a density under a chosen policy, so the
+        # key would change only the input hash; it is refused on its line
+        base = {"spectrum": SWEEP.replace("shift-sweep", "spectrum"),
+                "eta-opt": "[run]\nformat_version = 1\ncommand = eta-opt\n",
+                "exact-verify": EXACT_VERIFY,
+                "cotangent": EXACT_VERIFY.replace("exact-verify", "cotangent")}[command]
+        assert parse_config(base).command == command
+        text = base + "[nonlinearity]\npolicy = floor\n"
+        with pytest.raises(ConfigValidationError,
+                           match=f"line {len(text.splitlines())}: {command} does not read"):
+            parse_config(text)
+
+    def test_policy_read_by_three_commands(self):
+        for text in (MINIMAL_EVOLVE, SWEEP, MEASURES):
+            cfg = parse_config(text.replace("[nonlinearity]", "[nonlinearity]\npolicy = extrap"))
+            assert cfg.policy == "extrap"
+
     def test_error_carries_line_number(self):
         bad = MINIMAL_EVOLVE.replace("eta = 0.5", "eta = 1.5")
         line = next(

@@ -13,12 +13,14 @@ from infonls import (
     cotangent_params,
     cotangent_potential,
     degeneracy_check,
+    density,
     dt_max,
     evolve,
     exact_energy,
     exact_energy_bounds,
     linear_residual_cotangent,
     nonlinear_residual,
+    nonlinear_term_F,
     normalize,
 )
 from infonls.errors import (
@@ -158,6 +160,17 @@ class TestNonlinearResidual:
         res, _ = nonlinear_residual(psi, e_d, params, consts, 0.0)
         assert res < 1e-8
         assert e_d == pytest.approx(e_cont, rel=1e-3)
+
+    def test_periodic_grid_excludes_no_edge(self, consts):
+        # every shift wraps on a periodic grid and the Laplacian wraps too, so
+        # neither the first and last eta*L steps nor the endpoints are dropped
+        g = periodic_grid(width=2 * np.pi, n=2048, x_min=0.0)
+        psi, k = plane_wave(g, mode=16)
+        params = NonlinearParams.for_length(128 * g.dx / 0.5, 0.5, consts)
+        e_d = consts.hbar**2 * 2 * (1 - np.cos(k * g.dx)) / (2 * consts.mass * g.dx**2)
+        res, frac = nonlinear_residual(psi, e_d, params, consts, 0.0)
+        assert frac == 0.0
+        assert res < 1e-10
 
     def test_residual_small_across_resolutions(self, consts):
         # the commensurate construction is discretely exact: the residual sits
@@ -320,6 +333,27 @@ class TestCotangent:
         e = exact_energy(kappa, params, consts)
         res = linear_residual_cotangent(psi, e, cot, consts, 3 * g.dx)
         assert res < 1e-5
+
+    def test_field_converges_to_cotangent_potential(self, consts):
+        # F(p) of the single-harmonic state is the linear theory's potential
+        # A + B cot(beta x) to O(dx^2): a Potential with no singular point,
+        # compared off a fixed node radius, the edge shifts and the deep tail
+        eta, L, kappa = 0.8, 2.0, 1.0
+        params = params_for(L, eta, consts)
+        e = exact_energy(kappa, params, consts)
+        cot = cotangent_params(kappa, params, consts)
+        gaps = []
+        for steps in (1250, 2500, 5000):
+            g = halfline_grid(eta, L, steps, 8)
+            p = density(build_exact_state(ExactSolutionSpec(kappa=kappa, params=params), g))
+            F = nonlinear_term_F(p, params, consts)
+            assert not F.singular_mask.any()
+            V = cotangent_potential(cot, g, 0.02)
+            keep = ~V.singular_mask & (p.values >= 1e-8 * p.values.max())
+            keep[:steps] = keep[-steps:] = False
+            gaps.append(float(np.abs(F.values - V.values)[keep].max()) / abs(e))
+        assert gaps[0] / gaps[1] >= 3.5 and gaps[1] / gaps[2] >= 3.5
+        assert gaps[2] < 1e-4
 
     def test_wrong_beta_detected(self, consts):
         kappa, params, g, psi = self.cot_setup(consts)

@@ -23,7 +23,7 @@ from infonls.errors import (
     StepTooLargeError,
     ZeroNormError,
 )
-from infonls.grid import _laplacian_raw, _shift_raw
+from infonls.grid import Potential, _laplacian_raw, _shift_raw
 from conftest import gaussian_state, periodic_grid, plane_wave
 
 
@@ -115,6 +115,47 @@ class TestNormalize:
         g = periodic_grid(n=128)
         with pytest.raises(ZeroNormError):
             normalize(Wavefunction(g, np.zeros(128, dtype=complex)))
+
+
+class TestGridArrays:
+    """One constructor rule for Wavefunction, Density and Potential: a
+    read-only copy in the type's dtype, one value per grid point; then each
+    type's own invariant and error."""
+
+    @pytest.mark.parametrize("make", [
+        lambda g, v: Wavefunction(g, v),
+        lambda g, v: Density(g, v),
+        lambda g, v: Potential(g, v),
+        lambda g, v: Potential(g, np.zeros(g.n_points), singular_mask=v > 0),
+    ])
+    def test_length_checked(self, make):
+        g = periodic_grid(n=16)
+        with pytest.raises(ValueError, match="length must match grid.n_points"):
+            make(g, np.ones(15))
+
+    def test_read_only_copies(self):
+        g = periodic_grid(n=16)
+        src = np.ones(16)
+        mask = src < 0
+        V = Potential(g, src, mask)
+        arrays = (Wavefunction(g, src).values, Density(g, src).values, V.values,
+                  V.singular_mask, Potential(g, src).singular_mask)
+        src[:] = 2.0
+        mask[:] = True
+        for a, dtype in zip(arrays, (np.complex128, np.float64, np.float64, bool, bool)):
+            assert a.dtype == dtype and not a.flags.writeable
+            assert np.all(a == (1.0 if dtype != bool else False))
+
+    def test_potential_finite_off_mask(self):
+        g = periodic_grid(n=16)
+        v = np.zeros(16)
+        v[[3, 7]] = (np.inf, np.nan)
+        mask = np.zeros(16, dtype=bool)
+        mask[3] = True
+        with pytest.raises(ValueError, match="finite off the singular mask"):
+            Potential(g, v, mask)
+        mask[7] = True
+        assert Potential(g, v, mask).singular_mask.sum() == 2
 
 
 class TestShiftDensity:

@@ -14,7 +14,7 @@ from infonls import (
 )
 from infonls import nonlinearity
 from infonls.errors import UnregularizedEtaWarning
-from infonls.grid import _floor_raw, _shift_raw
+from infonls.grid import Potential, _floor_raw, _shift_raw
 from infonls.nonlinearity import _kl_bracket_raw
 from conftest import gaussian_density, periodic_grid, skewed_density
 
@@ -274,6 +274,17 @@ class TestFullNonlinearTerm:
         p = gaussian_density(g, sigma=0.5)
         f = nonlinear_term_F(p, None, consts)
         assert np.all(f.values == 0.0)
+
+    def test_terms_are_potentials(self, consts):
+        # F multiplies psi as a potential does: each term is a read-only
+        # Potential on the density's grid with an empty singular mask
+        g = periodic_grid(width=4.0, n=128)
+        p = skewed_density(g)
+        params = make_params(0.25, 0.5)
+        for term in (nonlinear_term_F(p, params, consts), nonlinear_term_F(p, None, consts),
+                     regularized_kl_term(p, params), quantum_potential_term(p, consts)):
+            assert isinstance(term, Potential) and term.grid == g
+            assert not term.singular_mask.any() and not term.values.flags.writeable
 
     def test_all_zero_density_takes_the_kernel_floor(self, consts):
         # an all-zero density is floored at 1e-300 like in the RHS kernel, so

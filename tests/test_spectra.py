@@ -92,6 +92,21 @@ class TestLinearSpectrum:
         with pytest.raises(ValueError, match="at least 1"):
             solve_linear_spectrum(harmonic_potential(g, consts), g, consts, 0)
 
+    def test_periodic_ring_rejected(self, consts):
+        # the tridiagonal is the Dirichlet box: on a ring of width 3 it would
+        # return 0.5478, 2.1911, 4.9300, 8.7644 for the ring's 0, 2.193,
+        # 2.193, 8.773
+        n = 2048
+        g = Grid(x_min=0.0, dx=3.0 / n, n_points=n, boundary="periodic")
+        with pytest.raises(ValueError, match="dirichlet"):
+            solve_linear_spectrum(zero_potential(g), g, consts, 4)
+
+    def test_potential_on_another_grid_rejected(self, consts):
+        g = Grid(x_min=-5.0, dx=10.0 / 65, n_points=64, boundary="dirichlet")
+        shifted = Grid(x_min=-4.0, dx=g.dx, n_points=64, boundary="dirichlet")
+        with pytest.raises(ValueError, match="grid"):
+            solve_linear_spectrum(harmonic_potential(shifted, consts), g, consts, 2)
+
 
 class TestClosedFormProfiles:
     def test_node_profile_zeros_machine(self):
