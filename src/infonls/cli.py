@@ -2,6 +2,8 @@
 
 Usage: infonls <command> --config <path> [--out <dir>] [--threads N]
 
+``--threads`` is accepted and ignored: every command runs on one thread.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
@@ -23,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the experiment config")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored; sweeps run on one thread")
     return parser
 
 
@@ -49,7 +51,7 @@ def main(argv=None) -> int:
     from .sweeps import run_sweep
 
     try:
-        manifest = run_sweep(cfg, out_dir, threads=max(1, args.threads))
+        manifest = run_sweep(cfg, out_dir)
     except InfonlsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -209,7 +209,9 @@ def degeneracy_check(
     """Verify two alpha profiles share the eigenvalue fixed by (kappa, eta, L).
 
     Builds both states, runs the stationary residual on each against the same
-    closed-form energy, and reports (E_1, E_2, both_pass).
+    closed-form energy, and reports (E_1, E_2, both_pass). E_1 and E_2 are
+    that one closed-form energy, so they are always equal; the evidence of the
+    degeneracy is only ``both_pass``, both residuals below ``residual_tol``.
     """
     if grid is None:
         grid = default_halfline_grid(kappa, params)

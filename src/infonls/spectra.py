@@ -92,7 +92,7 @@ def solve_linear_spectrum(
     except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise ConvergenceFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
     states = tuple(
-        normalize(Wavefunction(grid, vecs[:, j].astype(np.complex128)))
+        normalize(Wavefunction(grid, vecs[:, j]))
         for j in range(n_states)
     )
     return EigenSolution(energies, states)
@@ -126,7 +126,7 @@ def resample_state(psi: Wavefunction, fine: Grid) -> Wavefunction:
     once per coarse state and reused for every fine grid.
     """
     spl = _derived(psi, "quintic_spline", _quintic_spline)
-    return normalize(Wavefunction(fine, spl(fine.x).astype(np.complex128)))
+    return normalize(Wavefunction(fine, spl(fine.x)))
 
 
 def characteristic_length(state: Wavefunction) -> float:

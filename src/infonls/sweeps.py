@@ -3,13 +3,12 @@ JSON manifest.
 
 Determinism contract: identical configs produce byte-identical CSVs and the
 same manifest input hash. Floats are serialized with repr (shortest
-round-trip decimal); rows are emitted in a fixed order; parallel sweeps
-merge results by parameter order, never by completion order.
+round-trip decimal); rows are emitted in a fixed order. A shift sweep runs
+every (eta, L, state) point on the calling thread, in parameter order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -141,28 +140,18 @@ def _run_spectrum(cfg: ExperimentConfig) -> tuple[str, list]:
     return "spectrum", [(j, float(e)) for j, e in enumerate(sol.energies)]
 
 
-def _run_shift_sweep(cfg: ExperimentConfig, threads: int) -> tuple[str, list]:
+def _run_shift_sweep(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
     consts = cfg.constants()
+    policy = cfg.policy or None
     sol = solve_linear_spectrum(_build_potential(cfg, grid), grid, consts, cfg.n_states)
-    points = [
-        (eta, L, j)
-        for eta in cfg.eta_values
-        for L in cfg.L_values
-        for j in range(cfg.n_states)
-    ]
-
-    def work(point):
-        eta, L, j = point
-        params = NonlinearParams.for_length(L, eta, consts)
-        res = first_order_shift_numeric(sol.states[j], params, consts, policy=cfg.policy or None)
-        return (res.eta, res.L, j, res.delta_E)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, points))
-    else:
-        rows = [work(pt) for pt in points]
+    rows = []
+    for eta in cfg.eta_values:
+        for L in cfg.L_values:
+            params = NonlinearParams.for_length(L, eta, consts)
+            for j in range(cfg.n_states):
+                res = first_order_shift_numeric(sol.states[j], params, consts, policy=policy)
+                rows.append((res.eta, res.L, j, res.delta_E))
     return "shift_result", rows
 
 
@@ -219,7 +208,9 @@ def _run_measures(cfg: ExperimentConfig) -> tuple[str, list]:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> RunManifest:
-    """Execute the configured command; write one CSV and a manifest."""
+    """Execute the configured command on the calling thread; write one CSV
+    and a manifest. ``threads`` is accepted and ignored (a thread pool made
+    shift sweeps slower); it stays until ``perfbench`` stops passing it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -228,7 +219,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> R
     elif cfg.command == "spectrum":
         schema, rows = _run_spectrum(cfg)
     elif cfg.command == "shift-sweep":
-        schema, rows = _run_shift_sweep(cfg, threads)
+        schema, rows = _run_shift_sweep(cfg)
     elif cfg.command == "eta-opt":
         schema, rows = _run_eta_opt(cfg)
     elif cfg.command == "exact-verify":

@@ -1,10 +1,12 @@
 import json
+import threading
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infonls import sweeps
 from infonls.cli import main as cli_main
 from infonls.config import ExperimentConfig, parse_config, render_config
 from infonls.errors import ConfigParseError, ConfigValidationError, NonFiniteError
@@ -299,6 +301,30 @@ class TestRunSweep:
         b2 = (tmp_path / "b" / "shift_result.csv").read_bytes()
         assert b1 == b2
         assert m1.input_hash == m2.input_hash
+
+    def test_sweep_runs_on_calling_thread(self, tmp_path, monkeypatch):
+        # SWEEP is the sweep of acceptance criterion 15; threads=4 is ignored.
+        calls = []
+        started = []
+        shift = sweeps.first_order_shift_numeric
+        thread_start = threading.Thread.start
+
+        def recording_shift(state, params, consts, **kwargs):
+            calls.append((threading.get_ident(), params.eta, params.L))
+            return shift(state, params, consts, **kwargs)
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return thread_start(thread)
+
+        monkeypatch.setattr(sweeps, "first_order_shift_numeric", recording_shift)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        run_sweep(parse_config(SWEEP), tmp_path / "a", threads=4)
+        assert started == []
+        assert len(calls) == 3 * 2 * 2
+        assert {ident for ident, _, _ in calls} == {threading.get_ident()}
+        points = [(eta, L) for _, eta, L in calls]
+        assert points == sorted(points)
 
     def test_manifest_references_outputs(self, tmp_path):
         cfg = parse_config(SWEEP)
