@@ -4,14 +4,21 @@ Grammar (format_version 1): lines are either ``[section]`` headers,
 ``key = value`` pairs, blank, or ``#`` comments. No nesting. Values are
 scalars or comma-separated lists; alpha profiles use ``harmonic:amplitude``
 pairs. parse/render round-trip exactly on valid configs.
+
+Validation builds what the command builds and calls the checks it calls, so
+the rules on values are the constructors' own; a refusal lands on the line of
+the key its message opens with. Only rules on the config itself live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigParseError, ConfigValidationError, IncommensurateShiftError
-from .grid import Grid, PhysConstants
+from .dynamics import harmonic_potential, quartic_potential, zero_potential
+from .errors import ConfigParseError, ConfigValidationError, InfonlsError
+from .exact import ExactSolutionSpec, _check_halfline, exact_energy
+from .grid import Grid, NonlinearParams, PhysConstants, Potential, _check_policy, _check_steps
+from .spectra import _check_eigensolver
 
 FORMAT_VERSION = 1
 
@@ -77,9 +84,14 @@ class ExperimentConfig:
         return PhysConstants(hbar=self.hbar, mass=self.mass)
 
     def grid(self) -> Grid:
-        return Grid(
-            x_min=self.x_min, dx=self.dx, n_points=self.n_points, boundary=self.boundary
-        )
+        return Grid(self.x_min, self.dx, self.n_points, self.boundary)
+
+    def potential(self, grid: Grid) -> Potential:
+        if self.potential_kind == "harmonic":
+            return harmonic_potential(grid, self.constants(), omega=self.omega)
+        if self.potential_kind == "quartic":
+            return quartic_potential(grid, coeff=self.quartic_coeff)
+        return zero_potential(grid)
 
 
 # (section, key) -> (attribute, converter tag), in the order render_config
@@ -176,74 +188,73 @@ def _err(lines: dict[str, int], attr: str, message: str) -> ConfigValidationErro
     return ConfigValidationError(where + message)
 
 
+#: the attribute of each key name, with which a constructor guard's message opens
+_ATTRS = {key: attr for (_, key), (attr, _) in _SCHEMA.items()}
+
+
+def _built(lines: dict[str, int], attr: str, build, *args, at: str = ""):
+    """build(*args), its ValueError, ArithmeticError or InfonlsError refused
+    on the line of the key its message opens with, else on the line of
+    ``attr``; ``at`` names the point of a list that failed."""
+    try:
+        return build(*args)
+    except (ValueError, ArithmeticError, InfonlsError) as exc:
+        message = str(exc)
+        attr = _ATTRS.get(message.split(" ", 1)[0], attr)
+        raise _err(lines, attr, f"{message} ({at})" if at else message) from None
+
+
 def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
+    """Build what cfg's command builds; refuse what its constructors refuse."""
     if cfg.format_version != FORMAT_VERSION:
         raise _err(lines, "format_version", f"unsupported format_version {cfg.format_version}")
     if cfg.command not in COMMANDS:
         raise _err(lines, "command", f"unknown command '{cfg.command}'; one of {COMMANDS}")
-    if cfg.hbar <= 0 or cfg.mass <= 0:
-        raise _err(lines, "hbar", "hbar and mass must be positive")
-    if cfg.dx <= 0:
-        raise _err(lines, "dx", "dx must be positive")
-    if cfg.n_points < 8:
-        raise _err(lines, "n_points", "n_points must be at least 8")
-    if cfg.boundary not in ("periodic", "dirichlet"):
-        raise _err(lines, "boundary", f"unknown boundary '{cfg.boundary}'")
-    if cfg.policy and cfg.policy not in ("periodic", "floor", "extrap"):
-        raise _err(lines, "policy", f"unknown policy '{cfg.policy}'")
-    if cfg.policy and cfg.command not in ("evolve", "shift-sweep", "measures"):
-        raise _err(lines, "policy", f"{cfg.command} does not read [nonlinearity] policy")
+    consts = _built(lines, "hbar", cfg.constants)
+    grid = _built(lines, "dx", cfg.grid)
+    if cfg.policy:
+        _built(lines, "policy", _check_policy, cfg.policy)
+        if cfg.command not in ("evolve", "shift-sweep", "measures"):
+            raise _err(lines, "policy", f"{cfg.command} does not read [nonlinearity] policy")
     if cfg.potential_kind not in POTENTIAL_KINDS:
         raise _err(lines, "potential_kind", f"unknown potential kind '{cfg.potential_kind}'")
-    for eta in cfg.eta_values:
-        if not 0.0 < eta <= 1.0:
-            raise _err(lines, "eta_values", f"eta = {eta} outside the range (0, 1]")
-    for L in cfg.L_values:
-        if L <= 0:
-            raise _err(lines, "L_values", f"L = {L} must be positive")
-    shifts = []
+    if cfg.command in ("evolve", "spectrum", "shift-sweep"):
+        attr = "omega" if cfg.potential_kind == "harmonic" else "quartic_coeff"
+        _built(lines, attr, cfg.potential, grid)
+    if cfg.command in ("evolve", "exact-verify", "cotangent"):
+        if len(cfg.eta_values) != 1 or len(cfg.L_values) != 1:
+            raise _err(lines, "eta_values", f"{cfg.command} requires exactly one eta and one L")
+    if cfg.command == "shift-sweep" and (not cfg.eta_values or not cfg.L_values):
+        raise _err(lines, "eta_values", "shift-sweep requires eta and L lists")
+    if cfg.command == "measures" and not cfg.L_values:
+        raise _err(lines, "L_values", "measures requires an L list")
+    points = []
     if cfg.command in ("evolve", "shift-sweep", "exact-verify", "cotangent"):
-        shifts = [(eta * L, "eta_values", f"eta={eta}, L={L}")
+        points = [(eta, L, "eta_values", f"eta={eta}, L={L}")
                   for eta in cfg.eta_values for L in cfg.L_values]
     elif cfg.command == "measures":
-        # the measures shift is L itself, not eta*L
-        shifts = [(L, "L_values", f"L={L}") for L in cfg.L_values]
-    grid = cfg.grid()
-    for distance, attr, what in shifts:
-        try:
-            steps = grid.steps_for(distance)
-        except IncommensurateShiftError as exc:
-            raise _err(lines, attr, f"incommensurate shift ({what}): {exc}") from None
+        # the measures shift is L itself, the eta = 1 shift of scale L
+        points = [(1.0, L, "L_values", f"L={L}") for L in cfg.L_values]
+    for eta, L, attr, at in points:
+        params = _built(lines, "L_values", NonlinearParams.for_length, L, eta, consts, at=at)
+        steps = _built(lines, attr, params.shift_steps, grid, at=at)
         # the bound of shift_density; cotangent never shifts a density
-        if abs(steps) >= cfg.n_points and cfg.command != "cotangent":
-            raise _err(lines, attr, f"shift ({what}) spans {abs(steps)} steps; "
-                                    f"must be below n_points = {cfg.n_points}")
+        if cfg.command != "cotangent":
+            _built(lines, attr, _check_steps, steps, grid.n_points, at=at)
     if cfg.command == "evolve":
-        if len(cfg.eta_values) != 1 or len(cfg.L_values) != 1:
-            raise _err(lines, "eta_values", "evolve requires exactly one eta and one L")
-        if cfg.dt <= 0 or cfg.n_steps <= 0:
+        if not (cfg.dt > 0 and cfg.n_steps > 0):
             raise _err(lines, "dt", "evolve requires positive dt and n_steps")
         if cfg.initial_kind not in INITIAL_KINDS:
             raise _err(lines, "initial_kind", f"unknown initial state '{cfg.initial_kind}'")
-    if cfg.command in ("spectrum", "shift-sweep") and cfg.n_states < 1:
-        raise _err(lines, "n_states", "n_states must be at least 1")
-    if cfg.command in ("spectrum", "shift-sweep") and cfg.boundary != "dirichlet":
-        # the eigensolver solves the Dirichlet box only
-        raise _err(lines, "boundary", f"{cfg.command} requires boundary = dirichlet")
-    if cfg.command == "shift-sweep" and (not cfg.eta_values or not cfg.L_values):
-        raise _err(lines, "eta_values", "shift-sweep requires eta and L lists")
+    if cfg.command in ("spectrum", "shift-sweep"):
+        _built(lines, "boundary", _check_eigensolver, grid, cfg.n_states, cfg.command)
     if cfg.command == "eta-opt" and cfg.profile not in ETA_OPT_PROFILES:
         raise _err(lines, "profile", f"unknown profile '{cfg.profile}'; one of {ETA_OPT_PROFILES}")
     if cfg.command in ("exact-verify", "cotangent"):
-        if len(cfg.eta_values) != 1 or len(cfg.L_values) != 1:
-            raise _err(lines, "eta_values", f"{cfg.command} requires exactly one eta and one L")
-        if not 0.0 < cfg.eta_values[0] < 1.0:
-            raise _err(lines, "eta_values", "exact solutions require 0 < eta < 1")
-        if cfg.kappa <= 0:
-            raise _err(lines, "kappa", "kappa must be positive")
-        if cfg.boundary != "dirichlet" or cfg.x_min != 0.0:
-            raise _err(lines, "boundary", f"{cfg.command} requires a half-line grid "
-                                          "(x_min = 0, boundary = dirichlet)")
+        # params is the one (eta, L) point built above
+        _built(lines, "alpha", ExactSolutionSpec, cfg.kappa, params, cfg.alpha)
+        _built(lines, "eta_values", exact_energy, cfg.kappa, params, consts)
+        _built(lines, "boundary", _check_halfline, grid, cfg.command)
         # x = 0 is a singular point of the cotangent potential on every such
         # grid, so its radius must be positive; exact-verify accepts zero
         radius = cfg.node_exclusion_radius_steps
@@ -256,8 +267,6 @@ def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
         # the cotangent potential reproduces only the single-harmonic state
         if cfg.command == "cotangent" and cfg.alpha != ExperimentConfig.alpha:
             raise _err(lines, "alpha", "cotangent takes only the default alpha = 1:1.0")
-    if cfg.command == "measures" and (not cfg.L_values):
-        raise _err(lines, "L_values", "measures requires an L list")
 
 
 def _format(tag: str, value) -> str:

@@ -38,6 +38,7 @@ from .grid import (
     Wavefunction,
     _floor_raw,
     _laplacian_raw,
+    _positive,
     normalize,
 )
 from .nonlinearity import _field_raw
@@ -56,14 +57,12 @@ class ExactSolutionSpec:
     alpha: AlphaDescriptor = DEFAULT_ALPHA
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        _positive("kappa", self.kappa)
         self.alpha = tuple((int(h), float(a)) for h, a in self.alpha)
         if not self.alpha:
             raise ValueError("alpha descriptor must contain at least one harmonic")
-        for h, _ in self.alpha:
-            if h < 1:
-                raise ValueError("harmonic indices must be positive integers")
+        if any(h < 1 for h, _ in self.alpha):
+            raise ValueError("harmonic indices must be positive integers")
 
 
 def _sine_exact(harmonic: int, k_mod: np.ndarray, steps: int) -> np.ndarray:
@@ -114,10 +113,14 @@ def exact_energy_bounds(
     return exact_energy(math.inf, params, consts), 0.0
 
 
+def _check_halfline(grid: Grid, who: str = "build_exact_state") -> None:
+    if grid.boundary != "dirichlet" or grid.x_min != 0.0:
+        raise ValueError(f"{who} requires a half-line grid (x_min = 0, boundary = dirichlet)")
+
+
 def build_exact_state(spec: ExactSolutionSpec, grid: Grid) -> Wavefunction:
     """Normalized psi = C exp(-kappa x) alpha(x) on a half-line grid."""
-    if grid.boundary != "dirichlet" or grid.x_min != 0.0:
-        raise ValueError("exact states live on a half-line grid (x_min = 0, dirichlet)")
+    _check_halfline(grid)
     x_max = grid.x_min + (grid.n_points - 1) * grid.dx
     if math.exp(-2.0 * spec.kappa * x_max) > 1e-10:
         raise DomainTooShortError(
@@ -235,8 +238,7 @@ class CotangentPotentialParams:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        _positive("beta", self.beta)
 
 
 def cotangent_params(

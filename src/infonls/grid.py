@@ -4,7 +4,8 @@ Everything downstream consumes these types. The grid arrays, ``Wavefunction``,
 ``Density`` and ``Potential`` (an external potential or the nonlinear term
 F(p)), take one value per grid point through one rule, ``_grid_array``: a
 copy flagged read-only to make accidental mutation loud. Each type then checks
-its own invariant.
+its own invariant. Config validation relies on two properties of every
+constructor guard: NaN fails it, and its message opens with the field name.
 """
 
 from __future__ import annotations
@@ -31,6 +32,22 @@ _BOUNDARIES = ("periodic", "dirichlet")
 _POLICIES = ("periodic", "floor", "extrap")
 
 
+def _positive(name: str, value: float) -> None:
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in _POLICIES:
+        raise ValueError(f"policy must be one of {_POLICIES}")
+
+
+def _check_steps(steps: int, n: int) -> None:
+    """The bound of a shift that does not wrap: |steps| below n_points."""
+    if abs(steps) >= n:
+        raise StepTooLargeError(f"shift spans {abs(steps)} steps; must be below n_points = {n}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -53,8 +70,8 @@ class PhysConstants:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0 and self.mass > 0):
-            raise ValueError("hbar and mass must be positive")
+        _positive("hbar", self.hbar)
+        _positive("mass", self.mass)
 
 
 @dataclass(frozen=True)
@@ -72,8 +89,7 @@ class Grid:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        _positive("dx", self.dx)
         if self.n_points < 8:
             raise ValueError("n_points must be at least 8")
         if self.boundary not in _BOUNDARIES:
@@ -101,7 +117,7 @@ class Grid:
         steps = int(round(ratio))
         if abs(ratio - steps) > COMMENSURATE_RTOL * max(1.0, abs(steps)):
             raise IncommensurateShiftError(
-                f"shift distance {distance} is {ratio} grid steps; "
+                f"incommensurate shift: distance {distance} is {ratio} grid steps; "
                 f"not an integer within rtol {COMMENSURATE_RTOL}"
             )
         return steps
@@ -120,15 +136,14 @@ class NonlinearParams:
     cal_E: float
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if not (0.0 < self.eta <= 1.0):
+        _positive("L", self.L)
+        if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        if self.cal_E <= 0:
-            raise ValueError("cal_E must be positive")
+        _positive("cal_E", self.cal_E)
 
     @classmethod
     def for_length(cls, L: float, eta: float, consts: PhysConstants) -> "NonlinearParams":
+        _positive("L", L)  # before L divides
         return cls(L=L, eta=eta, cal_E=consts.hbar**2 / (4.0 * consts.mass * L * L))
 
     def shift_steps(self, grid: Grid) -> int:
@@ -187,10 +202,13 @@ class Potential:
 
     def __post_init__(self):
         v = _grid_array(self.grid, self.values, np.float64)
-        mask = self.singular_mask
-        mask = np.zeros(self.grid.n_points, bool) if mask is None else mask
-        mask = _grid_array(self.grid, mask, bool, "singular_mask")
-        if not (np.isfinite(v) | mask).all():
+        finite = np.isfinite(v)
+        if self.singular_mask is None:
+            mask = _readonly(np.zeros(self.grid.n_points, bool))
+        else:
+            mask = _grid_array(self.grid, self.singular_mask, bool, "singular_mask")
+            finite |= mask
+        if not finite.all():
             raise ValueError("potential must be finite off the singular mask")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "singular_mask", mask)
@@ -240,10 +258,8 @@ def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray
         out[: n - s] = p[s:]
         out[n - s:] = p[:s]
         return out
-    if policy not in _POLICIES:
-        raise ValueError(f"policy must be one of {_POLICIES}")
-    if abs(steps) >= n:
-        raise StepTooLargeError(f"|steps| = {abs(steps)} must be below n_points = {n}")
+    _check_policy(policy)
+    _check_steps(steps, n)
     out = np.empty_like(p)
     # edge points whose source k - steps lies on the grid: the last m for
     # steps > 0, the first m for steps < 0
@@ -263,14 +279,10 @@ def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray
 
 def shift_density(p: Density, steps: int, policy: str | None = None) -> Density:
     """Nonlocal sample p(x + steps*dx) as a new Density."""
-    if abs(steps) >= p.grid.n_points:
-        raise StepTooLargeError(
-            f"|steps| = {abs(steps)} must be below n_points = {p.grid.n_points}"
-        )
+    _check_steps(steps, p.grid.n_points)
     if policy is None:
         policy = p.grid.default_policy()
-    if policy not in _POLICIES:
-        raise ValueError(f"policy must be one of {_POLICIES}")
+    _check_policy(policy)
     return Density(p.grid, _shift_raw(p.values, steps, policy, p.floor()))
 
 

@@ -62,6 +62,14 @@ class ShiftResult:
             raise ValueError("delta_E must be finite")
 
 
+def _check_eigensolver(grid: Grid, n_states: int, who: str = "eigensolver") -> None:
+    """The tridiagonal solves the Dirichlet box, for under a quarter of its levels."""
+    if grid.boundary != "dirichlet":
+        raise ValueError(f"{who} requires boundary = dirichlet, not {grid.boundary!r}")
+    if not 1 <= n_states < grid.n_points / 4:
+        raise ValueError("n_states must be at least 1 and below n_points / 4")
+
+
 def solve_linear_spectrum(
     V: Potential,
     grid: Grid,
@@ -74,14 +82,11 @@ def solve_linear_spectrum(
     spans (n_points + 1) * dx. A periodic grid, which the tridiagonal cannot
     wrap, or a potential on another grid raises ValueError.
     """
-    if grid.boundary != "dirichlet":
-        raise ValueError(f"eigensolver requires a dirichlet grid, not {grid.boundary!r}")
+    _check_eigensolver(grid, n_states)
     if V.grid != grid:
         raise ValueError("potential must be sampled on the eigensolver's grid")
     if V.singular_mask.any():
         raise ValueError("eigensolver requires a potential with no singular points")
-    if not 1 <= n_states < grid.n_points / 4:
-        raise ValueError("n_states must be at least 1 and below n_points / 4")
     t = consts.hbar**2 / (2.0 * consts.mass * grid.dx**2)
     diag = 2.0 * t + V.values
     off = np.full(grid.n_points - 1, -t)

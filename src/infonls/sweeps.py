@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, render_config
-from .dynamics import evolve, harmonic_potential, quartic_potential, zero_potential
+from .config import ExperimentConfig, _validate, render_config
+from .dynamics import evolve
 from .errors import NonFiniteError
 from .exact import (
     ExactSolutionSpec,
@@ -31,7 +31,7 @@ from .exact import (
     linear_residual_cotangent,
     nonlinear_residual,
 )
-from .grid import Density, Grid, NonlinearParams, Potential, Wavefunction, normalize
+from .grid import Density, Grid, NonlinearParams, Wavefunction, normalize
 from .measures import fisher_information, kl_divergence_shifted, shannon_entropy
 from .spectra import (
     first_order_shift_numeric,
@@ -87,20 +87,6 @@ def emit_results(rows, schema_id: str, path: Path) -> Path:
     return path
 
 
-def _input_hash(cfg: ExperimentConfig) -> str:
-    canonical = render_config(cfg)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _build_potential(cfg: ExperimentConfig, grid: Grid) -> Potential:
-    consts = cfg.constants()
-    if cfg.potential_kind == "harmonic":
-        return harmonic_potential(grid, consts, omega=cfg.omega)
-    if cfg.potential_kind == "quartic":
-        return quartic_potential(grid, coeff=cfg.quartic_coeff)
-    return zero_potential(grid)
-
-
 def _initial_state(cfg: ExperimentConfig, grid: Grid) -> Wavefunction:
     x = grid.x
     if cfg.initial_kind == "plane-wave":
@@ -117,26 +103,15 @@ def _params(cfg: ExperimentConfig) -> NonlinearParams:
 
 def _run_evolve(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
-    consts = cfg.constants()
-    params = _params(cfg)
-    report = evolve(
-        _initial_state(cfg, grid),
-        _build_potential(cfg, grid),
-        params,
-        consts,
-        cfg.dt,
-        cfg.n_steps,
-        policy=cfg.policy or None,
-    )
+    report = evolve(_initial_state(cfg, grid), cfg.potential(grid), _params(cfg),
+                    cfg.constants(), cfg.dt, cfg.n_steps, policy=cfg.policy or None)
     rows = list(zip(report.times, report.norm_drift, report.energy_trace))
     return "evolve", rows
 
 
 def _run_spectrum(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
-    sol = solve_linear_spectrum(
-        _build_potential(cfg, grid), grid, cfg.constants(), cfg.n_states
-    )
+    sol = solve_linear_spectrum(cfg.potential(grid), grid, cfg.constants(), cfg.n_states)
     return "spectrum", [(j, float(e)) for j, e in enumerate(sol.energies)]
 
 
@@ -144,7 +119,7 @@ def _run_shift_sweep(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
     consts = cfg.constants()
     policy = cfg.policy or None
-    sol = solve_linear_spectrum(_build_potential(cfg, grid), grid, consts, cfg.n_states)
+    sol = solve_linear_spectrum(cfg.potential(grid), grid, consts, cfg.n_states)
     rows = []
     for eta in cfg.eta_values:
         for L in cfg.L_values:
@@ -168,8 +143,7 @@ def _run_exact_verify(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
     consts = cfg.constants()
     params = _params(cfg)
-    spec = ExactSolutionSpec(kappa=cfg.kappa, params=params, alpha=cfg.alpha)
-    psi = build_exact_state(spec, grid)
+    psi = build_exact_state(ExactSolutionSpec(cfg.kappa, params, cfg.alpha), grid)
     e = exact_energy(cfg.kappa, params, consts)
     lower, _ = exact_energy_bounds(params, consts)
     radius = cfg.node_exclusion_radius_steps * grid.dx
@@ -181,8 +155,7 @@ def _run_cotangent(cfg: ExperimentConfig) -> tuple[str, list]:
     grid = cfg.grid()
     consts = cfg.constants()
     params = _params(cfg)
-    spec = ExactSolutionSpec(kappa=cfg.kappa, params=params)
-    psi = build_exact_state(spec, grid)
+    psi = build_exact_state(ExactSolutionSpec(cfg.kappa, params), grid)
     e = exact_energy(cfg.kappa, params, consts)
     cot = cotangent_params(cfg.kappa, params, consts)
     radius = cfg.node_exclusion_radius_steps * grid.dx
@@ -207,37 +180,36 @@ def _run_measures(cfg: ExperimentConfig) -> tuple[str, list]:
     return "measures", rows
 
 
+_RUNS = {
+    "evolve": _run_evolve,
+    "spectrum": _run_spectrum,
+    "shift-sweep": _run_shift_sweep,
+    "eta-opt": _run_eta_opt,
+    "exact-verify": _run_exact_verify,
+    "cotangent": _run_cotangent,
+    "measures": _run_measures,
+}
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> RunManifest:
-    """Execute the configured command on the calling thread; write one CSV
-    and a manifest. ``threads`` is accepted and ignored (a thread pool made
-    shift sweeps slower); it stays until ``perfbench`` stops passing it."""
+    """Validate cfg as ``parse_config`` does (ConfigValidationError, with no
+    line numbers), execute its command on the calling thread and write one
+    CSV and a manifest. ``threads`` is accepted and ignored (a thread pool
+    made shift sweeps slower); it stays until ``perfbench`` stops passing it."""
+    _validate(cfg, {})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    if cfg.command == "evolve":
-        schema, rows = _run_evolve(cfg)
-    elif cfg.command == "spectrum":
-        schema, rows = _run_spectrum(cfg)
-    elif cfg.command == "shift-sweep":
-        schema, rows = _run_shift_sweep(cfg)
-    elif cfg.command == "eta-opt":
-        schema, rows = _run_eta_opt(cfg)
-    elif cfg.command == "exact-verify":
-        schema, rows = _run_exact_verify(cfg)
-    elif cfg.command == "cotangent":
-        schema, rows = _run_cotangent(cfg)
-    elif cfg.command == "measures":
-        schema, rows = _run_measures(cfg)
-    else:
-        raise ValueError(f"unknown command {cfg.command}")
+    schema, rows = _RUNS[cfg.command](cfg)
     csv_path = emit_results(rows, schema, out / f"{schema}.csv")
+    echo = render_config(cfg)
     manifest = RunManifest(
         command=cfg.command,
-        config_echo=render_config(cfg),
+        config_echo=echo,
         artifact_version=__version__,
         wall_time_s=time.perf_counter() - t0,
         output_files=(csv_path.name,),
-        input_hash=_input_hash(cfg),
+        input_hash=hashlib.sha256(echo.encode()).hexdigest(),
     )
     (out / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2) + "\n")
     return manifest

@@ -1,6 +1,7 @@
 import json
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from infonls import sweeps
 from infonls.cli import main as cli_main
-from infonls.config import ExperimentConfig, parse_config, render_config
+from infonls.config import COMMANDS, ExperimentConfig, parse_config, render_config
 from infonls.errors import ConfigParseError, ConfigValidationError, NonFiniteError
 from infonls.sweeps import emit_results, run_sweep
 
@@ -110,6 +111,13 @@ L = 0.1
 [exact]
 kappa = 1.0
 """
+
+
+# a 10-point dirichlet grid: 3 states are not below n_points / 4
+FEW_POINTS = SWEEP.replace("n_points = 8001", "n_points = 10").replace(
+    "n_states = 2", "n_states = 3")
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 def with_radius(text, radius, command="exact-verify"):
@@ -258,6 +266,17 @@ class TestParse:
         assert parse_config(render_config(cfg)) == cfg
 
 
+class TestShippedConfigs:
+    def test_one_per_command(self):
+        assert sorted(p.stem.replace("_", "-") for p in CONFIGS) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_parses_and_round_trips(self, path):
+        cfg = parse_config(path.read_text())
+        assert cfg.command == path.stem.replace("_", "-")
+        assert parse_config(render_config(cfg)) == cfg
+
+
 class TestEmit:
     def test_empty_rows_header_only(self, tmp_path):
         path = emit_results([], "shift_result", tmp_path / "t.csv")
@@ -325,6 +344,20 @@ class TestRunSweep:
         assert {ident for ident, _, _ in calls} == {threading.get_ident()}
         points = [(eta, L) for _, eta, L in calls]
         assert points == sorted(points)
+
+    @pytest.mark.parametrize("cfg, message", [
+        (ExperimentConfig(command="spectrum", boundary="dirichlet", potential_kind="harmonc"),
+         "unknown potential kind 'harmonc'"),
+        (ExperimentConfig(command="eta-opt", profile="node-excitd"),
+         "unknown profile 'node-excitd'"),
+    ], ids=["potential-kind", "profile"])
+    def test_hand_built_config_validated(self, tmp_path, cfg, message):
+        # run_sweep validates as parse_config does, without line numbers;
+        # unvalidated, the kind typo would solve the hard box and the profile
+        # typo would write the Gaussian-profile optimum under its label
+        with pytest.raises(ConfigValidationError, match=f"^{message}"):
+            run_sweep(cfg, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
     def test_manifest_references_outputs(self, tmp_path):
         cfg = parse_config(SWEEP)
@@ -397,6 +430,30 @@ class TestCli:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert cli_main(["evolve", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("spectrum", FEW_POINTS.replace("shift-sweep", "spectrum"), "n_states ="),
+        ("shift-sweep", FEW_POINTS.replace("0.2, 0.4, 0.6", "0.4").replace("0.06, 0.12", "0.015"),
+         "n_states ="),
+        ("exact-verify", EXACT_VERIFY + "alpha = 0:1.0\n", "alpha ="),
+        ("exact-verify", EXACT_VERIFY + "alpha = ,\n", "alpha ="),
+        ("evolve", MINIMAL_EVOLVE.replace("dx = 0.01", "dx = nan"), "dx ="),
+        ("evolve", MINIMAL_EVOLVE.replace("L = 0.1", "L = nan"), "L ="),
+        ("evolve", MINIMAL_EVOLVE.replace("L = 0.1", "L = 0"), "L ="),
+        ("exact-verify", EXACT_VERIFY.replace("kappa = 1.0", "kappa = nan"), "kappa ="),
+        ("spectrum", SWEEP.replace("shift-sweep", "spectrum").replace("omega = 1.0", "omega = nan"),
+         "omega ="),
+        ("evolve", MINIMAL_EVOLVE.replace("dt = 2e-5", "dt = nan"), "dt ="),
+    ], ids=["spectrum-n_states", "shift-sweep-n_states", "alpha-harmonic-0", "alpha-empty",
+            "dx-nan", "L-nan", "L-0", "kappa-nan", "omega-nan", "dt-nan"])
+    def test_constructor_refusal_exit_two(self, tmp_path, capsys, command, text, key):
+        # each is refused on the line of its key by the constructor or check
+        # that the command calls, before the run could end in a Python error
+        # (exit 1) or a numerical failure (exit 3)
+        line = next(i for i, t in enumerate(text.splitlines(), start=1) if t.startswith(key))
+        path = self.write(tmp_path, text)
+        assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
 
     def test_numerical_failure_exit_three(self, tmp_path):
         # dt far above the stability bound -> UnstableStep -> exit 3

@@ -115,6 +115,11 @@ class TestBuildExactState:
         big = interior > 1e-6 * p.max()
         assert np.abs(shifted[big] / interior[big] - gamma).max() < 1e-10 * gamma
 
+    @pytest.mark.parametrize("kappa", [np.nan, 0.0, -1.0, np.inf])
+    def test_kappa_refused(self, consts, kappa):
+        with pytest.raises(ValueError, match="^kappa must be positive"):
+            ExactSolutionSpec(kappa=kappa, params=params_for(0.1, 0.8, consts))
+
     def test_domain_too_short(self, consts):
         params = params_for(0.1, 0.8, consts)
         g = halfline_grid(0.8, 0.1, 64, 20)  # x_max = 1.6, far too short

@@ -44,6 +44,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid(x_min=0.0, dx=0.1, n_points=64, boundary="absorbing")
 
+    @pytest.mark.parametrize("dx", [np.nan, np.inf])
+    def test_non_finite_dx(self, dx):
+        with pytest.raises(ValueError, match="^dx must be positive"):
+            Grid(x_min=0.0, dx=dx, n_points=64)
+
 
 class TestNonlinearParams:
     def test_constraint_holds(self, consts):
@@ -57,6 +62,14 @@ class TestNonlinearParams:
             NonlinearParams.for_length(0.1, 0.0, consts)
         with pytest.raises(ValueError):
             NonlinearParams.for_length(0.1, 1.5, consts)
+
+    @pytest.mark.parametrize("L", [np.nan, 0.0, -0.1, np.inf])
+    def test_length_refused_before_it_divides(self, consts, L):
+        # for_length checks L before it divides, so L = 0 is no ZeroDivisionError
+        with pytest.raises(ValueError, match="^L must be positive"):
+            NonlinearParams.for_length(L, 0.5, consts)
+        with pytest.raises(ValueError, match="^L must be positive"):
+            NonlinearParams(L=L, eta=0.5, cal_E=1.0)
 
     def test_commensurate_steps(self, consts):
         g = Grid(x_min=0.0, dx=0.01, n_points=100, boundary="dirichlet")
