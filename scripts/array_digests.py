@@ -254,9 +254,12 @@ def exact_outputs(consts):
     for eta, L in ((0.1, 1e-3), (0.5, 1.0), (0.99, 0.1), (0.999999, 2.0)):
         yield f"eta={eta!r} L={L!r} bounds", np.array(exact_energy_bounds(
             NonlinearParams.for_length(L, eta, consts), consts))
+    # the grid degeneracy_check once built by default: 64 steps per shift,
+    # 144 half periods, long enough for kappa = 2
+    grid = Grid(x_min=0.0, dx=0.8 * 0.1 / 64, n_points=144 * 32 + 1, boundary="dirichlet")
     yield "default grid degeneracy_check", np.array(degeneracy_check(
         ((1, 1.0),), ((1, 1.0), (3, 0.25)), 2.0, NonlinearParams.for_length(0.1, 0.8, consts),
-        consts))
+        consts, grid=grid))
     # the box limit: x_min = dx, no singular point on the grid
     n = 2048
     grid = Grid(x_min=1.0 / (n + 1), dx=1.0 / (n + 1), n_points=n, boundary="dirichlet")

@@ -23,7 +23,6 @@ from .exact import (
     build_exact_state,
     cotangent_params,
     cotangent_potential,
-    default_halfline_grid,
     degeneracy_check,
     evaluate_alpha,
     exact_energy,

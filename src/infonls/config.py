@@ -5,20 +5,18 @@ Grammar (format_version 1): lines are either ``[section]`` headers,
 scalars or comma-separated lists; alpha profiles use ``harmonic:amplitude``
 pairs. parse/render round-trip exactly on valid configs.
 
-Validation builds what the command builds and calls the checks it calls, so
-the rules on values are the constructors' own; a refusal lands on the line of
-the key its message opens with. Only rules on the config itself live here.
+``parse_config`` and ``run_sweep`` validate through ``_inputs``: the rules on
+the config itself, then the command's one inputs function (``sweeps``), which
+builds what the command builds. Rules on values are the constructors' own;
+``_built`` lands a refusal on the line of the key its message opens with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import harmonic_potential, quartic_potential, zero_potential
 from .errors import ConfigParseError, ConfigValidationError, InfonlsError
-from .exact import ExactSolutionSpec, _check_halfline, exact_energy
-from .grid import Grid, NonlinearParams, PhysConstants, Potential, _check_policy, _check_steps
-from .spectra import _check_eigensolver
+from .grid import Grid, PhysConstants, _check_policy
 
 FORMAT_VERSION = 1
 
@@ -79,19 +77,6 @@ class ExperimentConfig:
     density_sigma: float = 1.0
     # output
     directory: str = "out"
-
-    def constants(self) -> PhysConstants:
-        return PhysConstants(hbar=self.hbar, mass=self.mass)
-
-    def grid(self) -> Grid:
-        return Grid(self.x_min, self.dx, self.n_points, self.boundary)
-
-    def potential(self, grid: Grid) -> Potential:
-        if self.potential_kind == "harmonic":
-            return harmonic_potential(grid, self.constants(), omega=self.omega)
-        if self.potential_kind == "quartic":
-            return quartic_potential(grid, coeff=self.quartic_coeff)
-        return zero_potential(grid)
 
 
 # (section, key) -> (attribute, converter tag), in the order render_config
@@ -179,7 +164,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "command" not in values:
         raise ConfigParseError("missing [run] command")
     cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
-    _validate(cfg, lines_seen)
+    _inputs(cfg, lines_seen)
     return cfg
 
 
@@ -204,69 +189,29 @@ def _built(lines: dict[str, int], attr: str, build, *args, at: str = ""):
         raise _err(lines, attr, f"{message} ({at})" if at else message) from None
 
 
-def _validate(cfg: ExperimentConfig, lines: dict[str, int]) -> None:
-    """Build what cfg's command builds; refuse what its constructors refuse."""
+def _inputs(cfg: ExperimentConfig, lines: dict[str, int]):
+    """(schema, solve) of cfg's command, after building what it builds. A
+    rule or constructor that refuses a value raises ConfigValidationError on
+    the line of its key, if ``lines`` has it."""
+    from .sweeps import _COMMANDS  # sweeps imports this module
+
     if cfg.format_version != FORMAT_VERSION:
         raise _err(lines, "format_version", f"unsupported format_version {cfg.format_version}")
     if cfg.command not in COMMANDS:
         raise _err(lines, "command", f"unknown command '{cfg.command}'; one of {COMMANDS}")
-    consts = _built(lines, "hbar", cfg.constants)
-    grid = _built(lines, "dx", cfg.grid)
+    consts = _built(lines, "hbar", PhysConstants, cfg.hbar, cfg.mass)
+    grid = _built(lines, "dx", Grid, cfg.x_min, cfg.dx, cfg.n_points, cfg.boundary)
     if cfg.policy:
         _built(lines, "policy", _check_policy, cfg.policy)
         if cfg.command not in ("evolve", "shift-sweep", "measures"):
             raise _err(lines, "policy", f"{cfg.command} does not read [nonlinearity] policy")
     if cfg.potential_kind not in POTENTIAL_KINDS:
         raise _err(lines, "potential_kind", f"unknown potential kind '{cfg.potential_kind}'")
-    if cfg.command in ("evolve", "spectrum", "shift-sweep"):
-        attr = "omega" if cfg.potential_kind == "harmonic" else "quartic_coeff"
-        _built(lines, attr, cfg.potential, grid)
-    if cfg.command in ("evolve", "exact-verify", "cotangent"):
-        if len(cfg.eta_values) != 1 or len(cfg.L_values) != 1:
-            raise _err(lines, "eta_values", f"{cfg.command} requires exactly one eta and one L")
-    if cfg.command == "shift-sweep" and (not cfg.eta_values or not cfg.L_values):
-        raise _err(lines, "eta_values", "shift-sweep requires eta and L lists")
-    if cfg.command == "measures" and not cfg.L_values:
-        raise _err(lines, "L_values", "measures requires an L list")
-    points = []
-    if cfg.command in ("evolve", "shift-sweep", "exact-verify", "cotangent"):
-        points = [(eta, L, "eta_values", f"eta={eta}, L={L}")
-                  for eta in cfg.eta_values for L in cfg.L_values]
-    elif cfg.command == "measures":
-        # the measures shift is L itself, the eta = 1 shift of scale L
-        points = [(1.0, L, "L_values", f"L={L}") for L in cfg.L_values]
-    for eta, L, attr, at in points:
-        params = _built(lines, "L_values", NonlinearParams.for_length, L, eta, consts, at=at)
-        steps = _built(lines, attr, params.shift_steps, grid, at=at)
-        # the bound of shift_density; cotangent never shifts a density
-        if cfg.command != "cotangent":
-            _built(lines, attr, _check_steps, steps, grid.n_points, at=at)
-    if cfg.command == "evolve":
-        if not (cfg.dt > 0 and cfg.n_steps > 0):
-            raise _err(lines, "dt", "evolve requires positive dt and n_steps")
-        if cfg.initial_kind not in INITIAL_KINDS:
-            raise _err(lines, "initial_kind", f"unknown initial state '{cfg.initial_kind}'")
-    if cfg.command in ("spectrum", "shift-sweep"):
-        _built(lines, "boundary", _check_eigensolver, grid, cfg.n_states, cfg.command)
-    if cfg.command == "eta-opt" and cfg.profile not in ETA_OPT_PROFILES:
+    if cfg.initial_kind not in INITIAL_KINDS:
+        raise _err(lines, "initial_kind", f"unknown initial state '{cfg.initial_kind}'")
+    if cfg.profile not in ETA_OPT_PROFILES:
         raise _err(lines, "profile", f"unknown profile '{cfg.profile}'; one of {ETA_OPT_PROFILES}")
-    if cfg.command in ("exact-verify", "cotangent"):
-        # params is the one (eta, L) point built above
-        _built(lines, "alpha", ExactSolutionSpec, cfg.kappa, params, cfg.alpha)
-        _built(lines, "eta_values", exact_energy, cfg.kappa, params, consts)
-        _built(lines, "boundary", _check_halfline, grid, cfg.command)
-        # x = 0 is a singular point of the cotangent potential on every such
-        # grid, so its radius must be positive; exact-verify accepts zero
-        radius = cfg.node_exclusion_radius_steps
-        if cfg.command == "cotangent" and not radius > 0:
-            raise _err(lines, "node_exclusion_radius_steps",
-                       f"node_exclusion_radius_steps = {radius} must be positive")
-        if not radius >= 0:
-            raise _err(lines, "node_exclusion_radius_steps",
-                       f"node_exclusion_radius_steps = {radius} must not be negative")
-        # the cotangent potential reproduces only the single-harmonic state
-        if cfg.command == "cotangent" and cfg.alpha != ExperimentConfig.alpha:
-            raise _err(lines, "alpha", "cotangent takes only the default alpha = 1:1.0")
+    return _COMMANDS[cfg.command](cfg, lines, consts, grid)
 
 
 def _format(tag: str, value) -> str:

@@ -188,25 +188,13 @@ def nonlinear_residual(
     return _stationary_defect(psi, f, E, consts, excl)
 
 
-def default_halfline_grid(kappa: float, params: NonlinearParams) -> Grid:
-    """Commensurate half-line grid long enough for a kappa-damped state, with
-    64 steps per shift."""
-    steps_per_shift = 64
-    dx = params.eta * params.L / steps_per_shift
-    period = params.eta * params.L
-    x_needed = math.log(1e10) / (2.0 * kappa)
-    n_half_periods = math.ceil(x_needed / (period / 2.0))
-    n = n_half_periods * (steps_per_shift // 2) + 1
-    return Grid(x_min=0.0, dx=dx, n_points=max(n, 8), boundary="dirichlet")
-
-
 def degeneracy_check(
     alpha_1: AlphaDescriptor,
     alpha_2: AlphaDescriptor,
     kappa: float,
     params: NonlinearParams,
     consts: PhysConstants,
-    grid: Grid | None = None,
+    grid: Grid,
     residual_tol: float = 1e-6,
 ) -> tuple[float, float, bool]:
     """Verify two alpha profiles share the eigenvalue fixed by (kappa, eta, L).
@@ -216,8 +204,6 @@ def degeneracy_check(
     that one closed-form energy, so they are always equal; the evidence of the
     degeneracy is only ``both_pass``, both residuals below ``residual_tol``.
     """
-    if grid is None:
-        grid = default_halfline_grid(kappa, params)
     e = exact_energy(kappa, params, consts)
     passes = []
     for alpha in (alpha_1, alpha_2):

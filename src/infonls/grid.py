@@ -89,6 +89,8 @@ class Grid:
     boundary: str = "periodic"
 
     def __post_init__(self):
+        if not np.isfinite(self.x_min):
+            raise ValueError("x_min must be finite")
         _positive("dx", self.dx)
         if self.n_points < 8:
             raise ValueError("n_points must be at least 8")
@@ -144,6 +146,8 @@ class NonlinearParams:
     @classmethod
     def for_length(cls, L: float, eta: float, consts: PhysConstants) -> "NonlinearParams":
         _positive("L", L)  # before L divides
+        if 4.0 * consts.mass * L * L == 0.0:
+            raise ValueError(f"L = {L} is too small: 4 m L^2 underflows to 0")
         return cls(L=L, eta=eta, cal_E=consts.hbar**2 / (4.0 * consts.mass * L * L))
 
     def shift_steps(self, grid: Grid) -> int:

@@ -30,6 +30,7 @@ from .grid import (
     Potential,
     Wavefunction,
     _floor_raw,
+    _positive,
     _readonly,
     normalize,
 )
@@ -206,6 +207,7 @@ def sho_ground_shift_closed(eta: float, L_over_a: float) -> float:
     """Closed-form dimensionless shift of the harmonic ground state:
     eta^2 (1 - eta)(1 - 3 eta)/4 * (L/a)^2, in units of hbar omega. Zeros at
     0, 1/3, 1; global minimum at (3 + sqrt(3))/6."""
+    _positive("L_over_a", L_over_a)
     if not 0.0 <= eta <= 1.0:
         raise ParameterDomainError(f"eta = {eta} outside [0, 1]")
     return eta**2 * (1.0 - eta) * (1.0 - 3.0 * eta) / 4.0 * L_over_a**2

@@ -92,7 +92,8 @@ L = 1.5625
 kappa = 15.0
 """
 
-# a half-line config for the exact-state commands; the shift is 128 steps
+# a half-line config for the exact-state commands; the shift is 128 steps and
+# the grid is long enough for kappa = 1, as in configs/exact_verify.cfg
 EXACT_VERIFY = """
 [run]
 format_version = 1
@@ -101,7 +102,7 @@ command = exact-verify
 [grid]
 x_min = 0.0
 dx = 0.000625
-n_points = 1501
+n_points = 18433
 boundary = dirichlet
 
 [nonlinearity]
@@ -112,6 +113,8 @@ L = 0.1
 kappa = 1.0
 """
 
+# a grid too short for kappa = 1: exp(-2 kappa x_max) = 0.78
+SHORT_HALFLINE = EXACT_VERIFY.replace("n_points = 18433", "n_points = 201")
 
 # a 10-point dirichlet grid: 3 states are not below n_points / 4
 FEW_POINTS = SWEEP.replace("n_points = 8001", "n_points = 10").replace(
@@ -444,8 +447,18 @@ class TestCli:
         ("spectrum", SWEEP.replace("shift-sweep", "spectrum").replace("omega = 1.0", "omega = nan"),
          "omega ="),
         ("evolve", MINIMAL_EVOLVE.replace("dt = 2e-5", "dt = nan"), "dt ="),
+        ("exact-verify", SHORT_HALFLINE, "n_points ="),
+        ("cotangent", SHORT_HALFLINE.replace("exact-verify", "cotangent"), "n_points ="),
+        ("evolve", MINIMAL_EVOLVE.replace("x_min = -5.0", "x_min = inf"), "x_min ="),
+        ("evolve", MINIMAL_EVOLVE.replace("sigma = 1.0", "sigma = 0.0"), "sigma ="),
+        ("evolve", MINIMAL_EVOLVE.replace("sigma = 1.0", "sigma = nan"), "sigma ="),
+        ("measures", MEASURES + "[measures]\nsigma = nan\n", "sigma ="),
+        ("eta-opt", "[run]\nformat_version = 1\ncommand = eta-opt\n[eta-opt]\n"
+         "profile = gaussian-ground\nL_over_a = nan\n", "L_over_a ="),
     ], ids=["spectrum-n_states", "shift-sweep-n_states", "alpha-harmonic-0", "alpha-empty",
-            "dx-nan", "L-nan", "L-0", "kappa-nan", "omega-nan", "dt-nan"])
+            "dx-nan", "L-nan", "L-0", "kappa-nan", "omega-nan", "dt-nan",
+            "exact-verify-n_points", "cotangent-n_points", "x_min-inf", "evolve-sigma-0",
+            "evolve-sigma-nan", "measures-sigma-nan", "L_over_a-nan"])
     def test_constructor_refusal_exit_two(self, tmp_path, capsys, command, text, key):
         # each is refused on the line of its key by the constructor or check
         # that the command calls, before the run could end in a Python error

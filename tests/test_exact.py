@@ -252,13 +252,6 @@ class TestDegeneracy:
         p2 = build_exact_state(ExactSolutionSpec(kappa=1.0, params=params, alpha=((1, 3.0),)), g)
         assert np.allclose(p1.values, p2.values, atol=1e-14)
 
-    def test_default_grid_construction(self, consts):
-        params = params_for(0.1, 0.8, consts)
-        e1, e2, both = degeneracy_check(
-            ((1, 1.0),), ((1, 1.0), (3, 0.25)), 1.0, params, consts
-        )
-        assert both
-
     # E1 and E2 are one closed form by construction; the evidence of the
     # degeneracy is each profile's residual at that energy.
     PAIRS = (

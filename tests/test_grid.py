@@ -49,6 +49,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="^dx must be positive"):
             Grid(x_min=0.0, dx=dx, n_points=64)
 
+    @pytest.mark.parametrize("x_min", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_min(self, x_min):
+        with pytest.raises(ValueError, match="^x_min must be finite"):
+            Grid(x_min=x_min, dx=0.1, n_points=64)
+
 
 class TestNonlinearParams:
     def test_constraint_holds(self, consts):
@@ -70,6 +75,11 @@ class TestNonlinearParams:
             NonlinearParams.for_length(L, 0.5, consts)
         with pytest.raises(ValueError, match="^L must be positive"):
             NonlinearParams(L=L, eta=0.5, cal_E=1.0)
+
+    def test_length_whose_square_underflows(self, consts):
+        # 4 m L^2 rounds to 0 although L itself is positive
+        with pytest.raises(ValueError, match="^L = 1e-170 is too small"):
+            NonlinearParams.for_length(1e-170, 0.5, consts)
 
     def test_commensurate_steps(self, consts):
         g = Grid(x_min=0.0, dx=0.01, n_points=100, boundary="dirichlet")
