@@ -22,7 +22,10 @@ shifts on the resampled states; and ``nodeless_shift_integral`` on the ground
 window. The blocked outputs are the bracket, F, ``first_order_shift_numeric``
 and ``nonlinear_residual`` on grids longer than one block of the bracket:
 harmonic eigenstates resampled to 65537 and 131073 points, a periodic skewed
-density of 40001 points and the 76801-point exact half-line state. The inputs
+density of 40001 points and the 76801-point exact half-line state. The grid
+outputs, printed last, are ``density``, ``Wavefunction.norm_squared`` and
+``normalize`` of the complex harmonic packet (k0 = 3) and of a real array
+that holds -0.0 entries and negative subnormals. The inputs
 are deterministic, so two checkouts that print the same lines compute the same
 bits. To diff a change against its parent:
 
@@ -53,6 +56,7 @@ from infonls import (
     cotangent_params,
     cotangent_potential,
     degeneracy_check,
+    density,
     dt_max,
     evolve,
     exact_energy,
@@ -386,6 +390,20 @@ def blocked_outputs(consts):
     yield from _blocked(f"blocked exact N={grid.n_points}", psi, e, consts, ("floor", "extrap"))
 
 
+def grid_outputs(consts):
+    """Yield (label, array) for the density and the normalization of a
+    complex packet and of a real array with signed zeros."""
+    grid = Grid(x_min=-5.0, dx=0.01, n_points=1001, boundary="dirichlet")
+    raw = 4.0 * np.sin(3.0 * grid.x) * np.exp(-grid.x**2)
+    raw[::5] = -0.0
+    raw[1:4] = -5e-324
+    for label, psi in (("harmonic packet", _gaussian(grid, 0.7, -1.0, 3.0)),
+                       ("signed-zero real", Wavefunction(grid, raw))):
+        yield f"{label} density", density(psi).values
+        yield f"{label} norm_squared", np.array(psi.norm_squared())
+        yield f"{label} normalize", normalize(psi).values
+
+
 def main():
     argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -397,7 +415,7 @@ def main():
         warnings.simplefilter("ignore")
         for label, a in itertools.chain(
                 arrays(consts), exact_outputs(consts), measures_outputs(consts),
-                spectra_outputs(consts), blocked_outputs(consts)):
+                spectra_outputs(consts), blocked_outputs(consts), grid_outputs(consts)):
             print(f"{label} sha256 {digest(a)}")
             count += 1
     print(f"{count} arrays")

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
-from .config import COMMANDS, parse_config
+from .config import COMMANDS, _inputs, _read
 from .errors import ConfigParseError, ConfigValidationError, InfonlsError
+from .sweeps import _run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,21 +39,23 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    # the inputs are built once, here: a refusal is a config error, and the
+    # run solves from them
     try:
-        cfg = parse_config(text)
+        cfg, lines = _read(text)
         if cfg.command != args.command:
             raise ConfigValidationError(
                 f"config command '{cfg.command}' does not match CLI command "
                 f"'{args.command}'"
             )
+        t0 = time.perf_counter()
+        inputs = _inputs(cfg, lines)
     except (ConfigParseError, ConfigValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out if args.out is not None else cfg.directory
-    from .sweeps import run_sweep
-
     try:
-        manifest = run_sweep(cfg, out_dir)
+        manifest = _run(cfg, inputs, out_dir, t0)
     except InfonlsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

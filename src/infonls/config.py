@@ -7,8 +7,10 @@ pairs. parse/render round-trip exactly on valid configs.
 
 ``parse_config`` and ``run_sweep`` validate through ``_inputs``: the rules on
 the config itself, then the command's one inputs function (``sweeps``), which
-builds what the command builds. Rules on values are the constructors' own;
-``_built`` lands a refusal on the line of the key its message opens with.
+builds what the command builds. The CLI calls ``_read`` and ``_inputs``
+itself and runs what they built, so it builds each input once. Rules on
+values are the constructors' own; ``_built`` lands a refusal on the line of
+the key its message opens with.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ def _convert(tag: str, text: str, line_no: int):
         raise ConfigParseError(f"line {line_no}: cannot parse value {text!r}: {exc}") from exc
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate; errors carry the offending line number."""
+def _read(text: str) -> tuple[ExperimentConfig, dict[str, int]]:
+    """The config ``text`` holds and the line of each key it sets, before
+    validation; ConfigParseError carries the offending line number."""
     values: dict[str, object] = {}
     lines_seen: dict[str, int] = {}
     section = None
@@ -163,8 +166,13 @@ def parse_config(text: str) -> ExperimentConfig:
         lines_seen[attr] = line_no
     if "command" not in values:
         raise ConfigParseError("missing [run] command")
-    cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
-    _inputs(cfg, lines_seen)
+    return ExperimentConfig(**values), lines_seen  # type: ignore[arg-type]
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate; errors carry the offending line number."""
+    cfg, lines = _read(text)
+    _inputs(cfg, lines)
     return cfg
 
 

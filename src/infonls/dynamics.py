@@ -25,6 +25,7 @@ from .grid import (
     PhysConstants,
     Potential,
     Wavefunction,
+    _density_raw,
     _laplacian_raw,
 )
 from .nonlinearity import _field_raw
@@ -90,8 +91,7 @@ def _make_rhs(
         h_psi = v_ext * psi
         h_psi += kin_psi
         if params is not None or diagnose:
-            p = psi.real**2
-            p += psi.imag**2
+            p = _density_raw(psi)
         if params is not None:
             f = _field_raw(p, grid, params, consts, policy, steps)
             h_psi += f * psi

@@ -36,10 +36,11 @@ from .grid import (
     PhysConstants,
     Potential,
     Wavefunction,
+    _density_raw,
     _floor_raw,
     _laplacian_raw,
+    _normalized,
     _positive,
-    normalize,
 )
 from .nonlinearity import _field_raw
 
@@ -63,6 +64,10 @@ class ExactSolutionSpec:
             raise ValueError("alpha descriptor must contain at least one harmonic")
         if any(h < 1 for h, _ in self.alpha):
             raise ValueError("harmonic indices must be positive integers")
+        if not all(math.isfinite(a) for _, a in self.alpha):
+            raise ValueError("alpha amplitudes must be finite")
+        if all(a == 0.0 for _, a in self.alpha):
+            raise ValueError("alpha amplitudes must not all be zero")
 
 
 def _sine_exact(harmonic: int, k_mod: np.ndarray, steps: int) -> np.ndarray:
@@ -127,9 +132,9 @@ def build_exact_state(spec: ExactSolutionSpec, grid: Grid) -> Wavefunction:
             f"exp(-2 kappa x_max) = {math.exp(-2.0 * spec.kappa * x_max):.3e} "
             "exceeds 1e-10; extend the domain"
         )
-    alpha = evaluate_alpha(spec, grid)
-    raw = np.exp(-spec.kappa * grid.x) * alpha
-    return normalize(Wavefunction(grid, raw))
+    raw = evaluate_alpha(spec, grid)
+    raw *= np.exp(-spec.kappa * grid.x)
+    return _normalized(grid, raw)
 
 
 def _near_zeros(values: np.ndarray, x: np.ndarray, radius: float) -> np.ndarray:
@@ -157,10 +162,17 @@ def _stationary_defect(
         excl[[0, -1]] |= v[[0, -1]] != 0.0
     if excl.all():
         raise AllPointsExcludedError("no grid points left after exclusions")
-    lap = _laplacian_raw(v, grid.dx, grid.boundary)
-    defect = -(consts.hbar**2 / (2.0 * consts.mass)) * lap + U * v - E * v
     scale = abs(E) * float(np.abs(v).max())
-    return float(np.abs(defect[~excl]).max()) / scale, float(excl.mean())
+    # -(hbar^2/2m) psi'' + U psi - E psi in that order, in the Laplacian's
+    # array, with one temporary for the two products, freed before |defect|
+    defect = _laplacian_raw(v, grid.dx, grid.boundary)
+    defect *= -(consts.hbar**2 / (2.0 * consts.mass))
+    product = np.multiply(U, v)
+    defect += product
+    np.multiply(E, v, out=product)
+    defect -= product
+    del product
+    return float(np.abs(defect)[~excl].max()) / scale, float(excl.mean())
 
 
 def nonlinear_residual(
@@ -178,7 +190,7 @@ def nonlinear_residual(
     grid = psi.grid
     steps = params.shift_steps(grid)
     v = psi.values
-    p = v.real**2 + v.imag**2
+    p = _density_raw(v)
     f = _field_raw(p, grid, params, consts, grid.default_policy(), steps)
     excl = _near_zeros(v.real, grid.x, node_exclusion_radius)
     if steps > 0 and grid.boundary == "dirichlet":

@@ -6,6 +6,10 @@ F(p)), take one value per grid point through one rule, ``_grid_array``: a
 copy flagged read-only to make accidental mutation loud. Each type then checks
 its own invariant. Config validation relies on two properties of every
 constructor guard: NaN fails it, and its message opens with the field name.
+
+There is one density rule, ``_density_raw`` (|psi|^2 as ``re**2``, then
+``+= im**2``), and one normalization rule, ``_normalized``, which
+``normalize`` and the real states of ``spectra`` and ``exact`` share.
 """
 
 from __future__ import annotations
@@ -171,7 +175,7 @@ class Wavefunction:
         object.__setattr__(self, "values", v)
 
     def norm_squared(self) -> float:
-        return integrate(self.values.real**2 + self.values.imag**2, self.grid)
+        return integrate(_density_raw(self.values), self.grid)
 
 
 @dataclass(frozen=True)
@@ -231,18 +235,41 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
     return float(np.sum(values * grid.quad_weights()))
 
 
+def _density_raw(v: np.ndarray) -> np.ndarray:
+    """The one density rule: |v|^2 as a new array, re**2 and then, for a
+    complex v, += im**2 (a real v has no imaginary part to add)."""
+    p = v.real**2
+    if v.dtype.kind == "c":
+        p += v.imag**2
+    return p
+
+
 def density(psi: Wavefunction) -> Density:
     """Pointwise |psi|^2 on the same grid."""
-    p = psi.values.real**2 + psi.values.imag**2
-    return Density(psi.grid, p)
+    return Density(psi.grid, _density_raw(psi.values))
+
+
+def _normalized(grid: Grid, v: np.ndarray) -> Wavefunction:
+    """The one normalization rule: v over its trapezoidal norm, as a
+    Wavefunction. A complex v is divided into a new array. A real v, which
+    the caller owns, is scaled in place by the real part of numpy's complex
+    division by a real scalar, (re + 0.0) * (1 / norm), which turns -0.0
+    into +0.0, and converted to complex once: the same bits, from one
+    complex array instead of three."""
+    n2 = integrate(_density_raw(v), grid)
+    if n2 < 1e-300:
+        raise ZeroNormError(f"squared norm {n2} too small to normalize")
+    norm = np.sqrt(n2)
+    if v.dtype.kind == "c":
+        return Wavefunction(grid, v / norm)
+    v += 0.0
+    v *= 1.0 / norm
+    return Wavefunction(grid, v)
 
 
 def normalize(psi: Wavefunction) -> Wavefunction:
     """Rescale to unit trapezoidal squared norm."""
-    n2 = psi.norm_squared()
-    if n2 < 1e-300:
-        raise ZeroNormError(f"squared norm {n2} too small to normalize")
-    return Wavefunction(psi.grid, psi.values / np.sqrt(n2))
+    return _normalized(psi.grid, psi.values)
 
 
 def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray:

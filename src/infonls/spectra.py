@@ -29,10 +29,11 @@ from .grid import (
     PhysConstants,
     Potential,
     Wavefunction,
+    _density_raw,
     _floor_raw,
+    _normalized,
     _positive,
     _readonly,
-    normalize,
 )
 from .nonlinearity import _kl_bracket_raw
 
@@ -97,10 +98,8 @@ def solve_linear_spectrum(
         )
     except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise ConvergenceFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
-    states = tuple(
-        normalize(Wavefunction(grid, vecs[:, j]))
-        for j in range(n_states)
-    )
+    # each column is scaled in place in vecs, which nothing else holds
+    states = tuple(_normalized(grid, vecs[:, j]) for j in range(n_states))
     return EigenSolution(energies, states)
 
 
@@ -132,13 +131,13 @@ def resample_state(psi: Wavefunction, fine: Grid) -> Wavefunction:
     once per coarse state and reused for every fine grid.
     """
     spl = _derived(psi, "quintic_spline", _quintic_spline)
-    return normalize(Wavefunction(fine, spl(fine.x)))
+    return _normalized(fine, spl(fine.x))
 
 
 def characteristic_length(state: Wavefunction) -> float:
     """sqrt(2 <x^2>) of the probability density; equals sqrt(hbar/m omega)
     for the harmonic ground state centered at the origin."""
-    p = state.values.real**2 + state.values.imag**2
+    p = _density_raw(state.values)
     w = state.grid.quad_weights()
     x = state.grid.x
     xc = float(np.sum(w * x * p) / np.sum(w * p))
@@ -150,7 +149,7 @@ def _shift_state_part(state: Wavefunction) -> tuple[np.ndarray, float, float]:
     """The eta- and L-independent part of delta_E: the read-only density, its
     floor, and sum (D sqrt p)^2 over every first difference, boundary ones
     included (periodic: the wrap; dirichlet: the zero ghosts)."""
-    p = state.values.real**2 + state.values.imag**2
+    p = _density_raw(state.values)
     s = np.sqrt(p)
     d = np.diff(s)
     if state.grid.boundary == "periodic":

@@ -37,7 +37,7 @@ from .exact import (
     linear_residual_cotangent,
     nonlinear_residual,
 )
-from .grid import Density, NonlinearParams, Wavefunction, _check_steps, normalize
+from .grid import Density, NonlinearParams, Wavefunction, _check_steps, _normalized
 from .measures import fisher_information, kl_divergence_shifted, shannon_entropy
 from .spectra import (
     _check_eigensolver,
@@ -100,8 +100,10 @@ def _initial_state(cfg: ExperimentConfig, grid) -> Wavefunction:
     if cfg.initial_kind == "plane-wave":
         vals = np.exp(1j * cfg.initial_k * x)
     else:
+        if not math.isfinite(cfg.initial_center):
+            raise ValueError("center must be finite")
         vals = np.exp(-((x - cfg.initial_center) ** 2) / (4.0 * cfg.initial_sigma**2))
-    return normalize(Wavefunction(grid, vals.astype(np.complex128)))
+    return _normalized(grid, vals)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -252,7 +254,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> R
     a manifest. ``threads`` is accepted and ignored (a thread pool made shift
     sweeps slower); it stays until ``perfbench`` stops passing it."""
     t0 = time.perf_counter()
-    schema, solve = _inputs(cfg, {})
+    return _run(cfg, _inputs(cfg, {}), out_dir, t0)
+
+
+def _run(cfg: ExperimentConfig, inputs, out_dir: str | Path, t0: float) -> RunManifest:
+    """Solve cfg from the (schema, solve) that ``config._inputs`` built and
+    write one CSV and a manifest, whose wall time counts from ``t0``."""
+    schema, solve = inputs
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = emit_results(solve(), schema, out / f"{schema}.csv")

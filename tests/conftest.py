@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,15 @@ def skewed_density(grid):
     u = 2.0 * np.pi * (grid.x - grid.x_min) / width
     p = 1.0 + 0.5 * np.sin(u) + 0.2 * np.cos(2 * u)
     return Density(grid, p / np.sum(p * grid.quad_weights()))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs, after one
+    warm-up call (numpy reports its array buffers to tracemalloc)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

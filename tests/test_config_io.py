@@ -455,10 +455,14 @@ class TestCli:
         ("measures", MEASURES + "[measures]\nsigma = nan\n", "sigma ="),
         ("eta-opt", "[run]\nformat_version = 1\ncommand = eta-opt\n[eta-opt]\n"
          "profile = gaussian-ground\nL_over_a = nan\n", "L_over_a ="),
+        ("exact-verify", EXACT_VERIFY + "alpha = 1:nan\n", "alpha ="),
+        ("exact-verify", EXACT_VERIFY + "alpha = 1:0.0\n", "alpha ="),
+        ("evolve", MINIMAL_EVOLVE + "center = nan\n", "center ="),
     ], ids=["spectrum-n_states", "shift-sweep-n_states", "alpha-harmonic-0", "alpha-empty",
             "dx-nan", "L-nan", "L-0", "kappa-nan", "omega-nan", "dt-nan",
             "exact-verify-n_points", "cotangent-n_points", "x_min-inf", "evolve-sigma-0",
-            "evolve-sigma-nan", "measures-sigma-nan", "L_over_a-nan"])
+            "evolve-sigma-nan", "measures-sigma-nan", "L_over_a-nan", "alpha-amplitude-nan",
+            "alpha-amplitudes-zero", "evolve-center-nan"])
     def test_constructor_refusal_exit_two(self, tmp_path, capsys, command, text, key):
         # each is refused on the line of its key by the constructor or check
         # that the command calls, before the run could end in a Python error
@@ -467,6 +471,15 @@ class TestCli:
         path = self.write(tmp_path, text)
         assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
+
+    def test_inputs_built_once(self, tmp_path, monkeypatch):
+        # the CLI solves from the inputs its validation built
+        calls = []
+        build = sweeps.build_exact_state
+        monkeypatch.setattr(sweeps, "build_exact_state", lambda *a: calls.append(a) or build(*a))
+        path = self.write(tmp_path, with_radius(EXACT_VERIFY, "0.4", "cotangent"))
+        assert cli_main(["cotangent", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
     def test_numerical_failure_exit_three(self, tmp_path):
         # dt far above the stability bound -> UnstableStep -> exit 3

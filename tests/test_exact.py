@@ -7,6 +7,7 @@ from infonls import (
     ExactSolutionSpec,
     Grid,
     NonlinearParams,
+    PhysConstants,
     Wavefunction,
     alpha_node_indices,
     build_exact_state,
@@ -28,8 +29,9 @@ from infonls.errors import (
     DomainTooShortError,
     ParameterDomainError,
 )
+from infonls.exact import evaluate_alpha
 from infonls.grid import FLOOR_REL
-from conftest import plane_wave, periodic_grid
+from conftest import plane_wave, periodic_grid, traced_peak
 
 # closed-form anchors recomputed independently from
 # (cal_E/eta^4) (1 - ln(1 + eta(gamma-1)) - 1/(1 + eta(gamma-1)))
@@ -119,6 +121,25 @@ class TestBuildExactState:
     def test_kappa_refused(self, consts, kappa):
         with pytest.raises(ValueError, match="^kappa must be positive"):
             ExactSolutionSpec(kappa=kappa, params=params_for(0.1, 0.8, consts))
+
+    @pytest.mark.parametrize("alpha, message", [
+        (((1, np.nan),), "alpha amplitudes must be finite"),
+        (((1, 1.0), (2, np.inf)), "alpha amplitudes must be finite"),
+        (((1, 0.0), (3, -0.0)), "alpha amplitudes must not all be zero"),
+    ], ids=["nan", "inf", "all-zero"])
+    def test_amplitudes_refused(self, consts, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExactSolutionSpec(kappa=1.0, params=params_for(0.1, 0.8, consts), alpha=alpha)
+
+    def test_state_equals_normalize(self, consts):
+        # normalized as a real array and converted to complex once, with the
+        # bits that normalize gives on the complex array
+        g = halfline_grid(0.8, 0.1, 64, 150)
+        spec = ExactSolutionSpec(kappa=1.0, params=params_for(0.1, 0.8, consts),
+                                 alpha=((1, 1.0), (3, -0.4)))
+        raw = np.exp(-spec.kappa * g.x) * evaluate_alpha(spec, g)
+        expected = normalize(Wavefunction(g, raw))
+        assert build_exact_state(spec, g).values.tobytes() == expected.values.tobytes()
 
     def test_domain_too_short(self, consts):
         params = params_for(0.1, 0.8, consts)
@@ -224,6 +245,29 @@ class TestNonlinearResidual:
         e = exact_energy(1.0, params, consts)
         with pytest.raises(AllPointsExcludedError):
             nonlinear_residual(psi, e, params, consts, 1e9)
+
+
+class TestAllocationBudget:
+    """At N = 76801 the state and the residual allocate little beyond what
+    they return; bounds in real arrays of N points, with the measured peaks
+    and those of complex-first normalization and an out-of-place defect."""
+
+    params = NonlinearParams.for_length(0.1, 0.8, PhysConstants())
+    grid = halfline_grid(0.8, 0.1, 512, 150)
+    spec = ExactSolutionSpec(kappa=1.0, params=params)
+
+    def test_build_exact_state(self):
+        # 5.0 arrays, against 8.3
+        peak = traced_peak(lambda: build_exact_state(self.spec, self.grid))
+        assert peak < 6.0 * 8 * self.grid.n_points
+
+    def test_nonlinear_residual(self, consts):
+        # 6.7 arrays, most of them the field's, against 8.8
+        psi = build_exact_state(self.spec, self.grid)
+        e = exact_energy(1.0, self.params, consts)
+        radius = 3.0 * self.grid.dx
+        peak = traced_peak(lambda: nonlinear_residual(psi, e, self.params, consts, radius))
+        assert peak < 7.5 * 8 * self.grid.n_points
 
 
 class TestDegeneracy:

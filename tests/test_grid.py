@@ -23,7 +23,7 @@ from infonls.errors import (
     StepTooLargeError,
     ZeroNormError,
 )
-from infonls.grid import Potential, _laplacian_raw, _shift_raw
+from infonls.grid import Potential, _laplacian_raw, _normalized, _shift_raw
 from conftest import gaussian_state, periodic_grid, plane_wave
 
 
@@ -138,6 +138,20 @@ class TestNormalize:
         g = periodic_grid(n=128)
         with pytest.raises(ZeroNormError):
             normalize(Wavefunction(g, np.zeros(128, dtype=complex)))
+
+    def test_real_values_match_complex_division(self):
+        # a real array is scaled as numpy divides a complex array by a real
+        # scalar, (re + 0.0) * (1 / norm): -0.0 turns into +0.0, while a
+        # negative subnormal whose product underflows stays -0.0
+        g = periodic_grid(n=256)
+        raw = 30.0 * np.exp(-g.x**2)
+        raw[::7] = -0.0
+        raw[1:6] = -5e-324 * np.arange(1, 6)
+        expected = normalize(Wavefunction(g, raw)).values
+        got = _normalized(g, raw.copy()).values
+        assert got.tobytes() == expected.tobytes()
+        assert not np.signbit(got.real[::7]).any() and not np.signbit(got.imag).any()
+        assert np.signbit(got.real[1:6]).all() and (got.real[1:6] == 0.0).all()
 
 
 class TestGridArrays:

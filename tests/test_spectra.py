@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from infonls import spectra
 from infonls import (
     Density,
     Grid,
@@ -33,7 +35,7 @@ from infonls.errors import (
     ParameterDomainError,
 )
 from infonls.grid import integrate
-from conftest import gaussian_density, periodic_grid
+from conftest import gaussian_density, periodic_grid, traced_peak
 
 ETA_NODE_MIN = (7 + np.sqrt(33)) / 16
 ETA_GAUSS_MIN = (3 + np.sqrt(3)) / 6
@@ -357,6 +359,47 @@ class TestPerStateReuse:
         finally:
             sys.setswitchinterval(old)
         assert results == {i: expected for i in range(6)}
+
+
+class TestRealStatesBuiltOnce:
+    """Eigenstates and resampled states are normalized as real arrays and
+    converted to complex once, with the bits that normalize gives on the
+    complex array."""
+
+    coarse = Grid(x_min=-8.0, dx=16.0 / 401, n_points=400, boundary="dirichlet")
+
+    @pytest.mark.parametrize("order", ["F", "C"])  # C: every column is strided
+    def test_eigenstates_equal_normalize(self, consts, monkeypatch, order):
+        returned = []
+
+        def eigh(*args, **kwargs):
+            energies, vecs = eigh_tridiagonal(*args, **kwargs)
+            vecs = np.asarray(vecs, order=order)
+            returned.append(vecs.copy())
+            return energies, vecs
+
+        monkeypatch.setattr(spectra, "eigh_tridiagonal", eigh)
+        V = harmonic_potential(self.coarse, consts)
+        states = solve_linear_spectrum(V, self.coarse, consts, 3).states
+        for j, psi in enumerate(states):
+            expected = normalize(Wavefunction(self.coarse, returned[0][:, j]))
+            assert psi.values.tobytes() == expected.values.tobytes()
+
+    def test_resampled_state_equals_normalize(self, consts):
+        V = harmonic_potential(self.coarse, consts)
+        psi = solve_linear_spectrum(V, self.coarse, consts, 2).states[1]
+        fine = Grid(x_min=-6.0, dx=12.0 / 4000, n_points=4001, boundary="dirichlet")
+        expected = normalize(Wavefunction(fine, spectra._quintic_spline(psi)(fine.x)))
+        assert resample_state(psi, fine).values.tobytes() == expected.values.tobytes()
+
+    def test_resample_allocation_budget(self, consts):
+        # onto 131073 points: 3.3 real arrays, against 6.3 when the samples
+        # were converted to complex before they were normalized
+        V = harmonic_potential(self.coarse, consts)
+        psi = solve_linear_spectrum(V, self.coarse, consts, 1).states[0]
+        fine = Grid(x_min=-6.0, dx=12.0 / 131072, n_points=131073, boundary="dirichlet")
+        peak = traced_peak(lambda: resample_state(psi, fine))
+        assert peak < 4.5 * 8 * fine.n_points
 
 
 class TestNodelessIntegral:
