@@ -14,7 +14,7 @@ class StepTooLargeError(InfonlsError):
 
 
 class IncommensurateShiftError(InfonlsError):
-    """A shift distance is not an integer number of grid steps."""
+    """A nonzero shift distance is not a nonzero integer number of grid steps."""
 
 
 class UnstableStepError(InfonlsError):

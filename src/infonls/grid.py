@@ -10,6 +10,9 @@ constructor guard: NaN fails it, and its message opens with the field name.
 There is one density rule, ``_density_raw`` (|psi|^2 as ``re**2``, then
 ``+= im**2``), and one normalization rule, ``_normalized``, which
 ``normalize`` and the real states of ``spectra`` and ``exact`` share.
+There is one quadrature rule, ``integrate``: the trapezoid over the grid's
+domain, which weights every point by dx on both boundaries (the dirichlet
+walls, where psi = 0, sit one step outside the end points).
 """
 
 from __future__ import annotations
@@ -106,25 +109,22 @@ class Grid:
         return self.x_min + np.arange(self.n_points) * self.dx
 
     def quad_weights(self) -> np.ndarray:
-        """Trapezoidal weights (uniform on the torus, half-weight ends else)."""
-        w = np.full(self.n_points, self.dx)
-        if self.boundary == "dirichlet":
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        return w
+        """dx at every point: the weights of the one quadrature rule."""
+        return np.full(self.n_points, self.dx)
 
     def default_policy(self) -> str:
         """Shift policy implied by the boundary: wrap on the torus, floor else."""
         return "periodic" if self.boundary == "periodic" else "floor"
 
     def steps_for(self, distance: float) -> int:
-        """Shift distance expressed in grid steps; must be commensurate."""
+        """Shift distance in whole grid steps, nonzero if the distance is."""
         ratio = distance / self.dx
         steps = int(round(ratio))
-        if abs(ratio - steps) > COMMENSURATE_RTOL * max(1.0, abs(steps)):
+        off = abs(ratio - steps) > COMMENSURATE_RTOL * max(1.0, abs(steps))
+        if off or (distance and not steps):
             raise IncommensurateShiftError(
                 f"incommensurate shift: distance {distance} is {ratio} grid steps; "
-                f"not an integer within rtol {COMMENSURATE_RTOL}"
+                f"not a nonzero integer within rtol {COMMENSURATE_RTOL}"
             )
         return steps
 
@@ -155,7 +155,7 @@ class NonlinearParams:
         return cls(L=L, eta=eta, cal_E=consts.hbar**2 / (4.0 * consts.mass * L * L))
 
     def shift_steps(self, grid: Grid) -> int:
-        """Grid steps in eta*L; raises IncommensurateShiftError if fractional."""
+        """Grid steps in eta*L; raises IncommensurateShiftError if fractional or 0."""
         return grid.steps_for(self.eta * self.L)
 
 
@@ -231,8 +231,8 @@ def _floor_raw(p: np.ndarray) -> float:
 
 
 def integrate(values: np.ndarray, grid: Grid) -> float:
-    """Trapezoidal quadrature of point values on the grid."""
-    return float(np.sum(values * grid.quad_weights()))
+    """The one quadrature rule: the trapezoid over the grid's domain, dx * sum."""
+    return float(np.sum(values * grid.dx))
 
 
 def _density_raw(v: np.ndarray) -> np.ndarray:
@@ -250,12 +250,12 @@ def density(psi: Wavefunction) -> Density:
 
 
 def _normalized(grid: Grid, v: np.ndarray) -> Wavefunction:
-    """The one normalization rule: v over its trapezoidal norm, as a
-    Wavefunction. A complex v is divided into a new array. A real v, which
-    the caller owns, is scaled in place by the real part of numpy's complex
-    division by a real scalar, (re + 0.0) * (1 / norm), which turns -0.0
-    into +0.0, and converted to complex once: the same bits, from one
-    complex array instead of three."""
+    """The one normalization rule: v over its trapezoidal norm, the root of
+    sum dx |v|^2, as a Wavefunction. A complex v is divided into a new
+    array. A real v, which the caller owns, is scaled in place by the real
+    part of numpy's complex division by a real scalar, (re + 0.0) * (1 /
+    norm), which turns -0.0 into +0.0, and converted to complex once: the
+    same bits, from one complex array instead of three."""
     n2 = integrate(_density_raw(v), grid)
     if n2 < 1e-300:
         raise ZeroNormError(f"squared norm {n2} too small to normalize")
@@ -268,7 +268,7 @@ def _normalized(grid: Grid, v: np.ndarray) -> Wavefunction:
 
 
 def normalize(psi: Wavefunction) -> Wavefunction:
-    """Rescale to unit trapezoidal squared norm."""
+    """Rescale to unit trapezoidal norm, sum dx |psi|^2 = 1."""
     return _normalized(psi.grid, psi.values)
 
 

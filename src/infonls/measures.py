@@ -31,7 +31,7 @@ class FunctionalValue:
 
 
 def _quad_error_estimate(integrand: np.ndarray, grid: Grid) -> float:
-    # crude trapezoid bound: (dx^2 / 12) * integral |f''|
+    # crude bound of the one quadrature rule, the trapezoid: (dx^2 / 12) * integral |f''|
     d2 = _laplacian_raw(integrand, grid.dx, grid.boundary)
     return float(grid.dx**2 / 12.0 * integrate(np.abs(d2), grid))
 

@@ -138,10 +138,10 @@ def characteristic_length(state: Wavefunction) -> float:
     """sqrt(2 <x^2>) of the probability density; equals sqrt(hbar/m omega)
     for the harmonic ground state centered at the origin."""
     p = _density_raw(state.values)
-    w = state.grid.quad_weights()
+    dx = state.grid.dx
     x = state.grid.x
-    xc = float(np.sum(w * x * p) / np.sum(w * p))
-    var = float(np.sum(w * (x - xc) ** 2 * p) / np.sum(w * p))
+    xc = float(np.sum(dx * x * p) / np.sum(dx * p))
+    var = float(np.sum(dx * (x - xc) ** 2 * p) / np.sum(dx * p))
     return math.sqrt(2.0 * var)
 
 
@@ -169,12 +169,9 @@ def first_order_shift_numeric(
 
     The quantum-potential part of the expectation is accumulated in first-
     difference form, - (hbar^2/2m) sum (D sqrt p)^2 dx, which is robust to
-    rough state noise. By summation by parts it equals sum p Q dx with
-    uniform weights, which is the trapezoid on a periodic grid. On a
-    dirichlet grid the trapezoid halves the end weights, so the trapezoid
-    integral p F differs from delta_E by - (dx/2)(p_0 Q_0 + p_{N-1} Q_{N-1}),
-    which grows as 1/dx when the window ends in the tails. Densities are
-    floored inside logs and denominators; nodes are not excised.
+    rough state noise. By summation by parts it equals sum p Q dx, so
+    delta_E is ``integrate(p * F)`` to rounding on both boundaries. Densities
+    are floored inside logs and denominators; nodes are not excised.
 
     The density, its floor and the difference sum depend on the state alone,
     so they are computed on the first call for a state and reused by later
@@ -187,7 +184,7 @@ def first_order_shift_numeric(
     bracket = _kl_bracket_raw(p, steps, params.eta, pol, eps)
     t = p * (params.cal_E / params.eta**4)
     t *= bracket
-    t *= grid.quad_weights()
+    t *= grid.dx
     kl_part = float(np.sum(t))
     qp_part = -(consts.hbar**2 / (2.0 * consts.mass)) * dsq / grid.dx
     return ShiftResult(eta=params.eta, L=params.L, delta_E=kl_part + qp_part)

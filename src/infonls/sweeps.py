@@ -111,7 +111,7 @@ def _density(cfg: ExperimentConfig, grid) -> Density:
     x = grid.x
     center = 0.5 * (x[0] + x[-1])
     p = np.exp(-((x - center) ** 2) / cfg.density_sigma**2)
-    return Density(grid, p / np.sum(p * grid.quad_weights()))
+    return Density(grid, p / np.sum(p * grid.dx))
 
 
 def _potential(cfg: ExperimentConfig, lines, consts, grid):

@@ -121,6 +121,7 @@ FEW_POINTS = SWEEP.replace("n_points = 8001", "n_points = 10").replace(
     "n_states = 2", "n_states = 3")
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+EVOLVE_CFG = next(p for p in CONFIGS if p.name == "evolve.cfg").read_text()
 
 
 def with_radius(text, radius, command="exact-verify"):
@@ -243,7 +244,7 @@ class TestParse:
             parse_config("[grid]\ndx = 0.1\nn_points = 100\n")
 
     def test_roundtrip_fixed_examples(self):
-        for text in (MINIMAL_EVOLVE, SWEEP):
+        for text in (MINIMAL_EVOLVE, SWEEP, EXACT_VERIFY + "alpha = 1:1.0, 2:0.5\n"):
             cfg = parse_config(text)
             assert parse_config(render_config(cfg)) == cfg
 
@@ -458,11 +459,19 @@ class TestCli:
         ("exact-verify", EXACT_VERIFY + "alpha = 1:nan\n", "alpha ="),
         ("exact-verify", EXACT_VERIFY + "alpha = 1:0.0\n", "alpha ="),
         ("evolve", MINIMAL_EVOLVE + "center = nan\n", "center ="),
+        ("evolve", EVOLVE_CFG.replace("L = 0.1", "L = 1e-14"), "eta ="),
+        ("evolve", MINIMAL_EVOLVE.replace("initial = gaussian\nsigma = 1.0",
+                                          "initial = plane-wave\nk = nan"), "k ="),
+        ("spectrum", SWEEP.replace("shift-sweep", "spectrum").replace(
+            "kind = harmonic\nomega = 1.0", "kind = quartic\ncoeff = nan"), "coeff ="),
+        ("evolve", MINIMAL_EVOLVE.replace("[nonlinearity]", "[nonlinearity]\npolicy = wrap"),
+         "policy ="),
     ], ids=["spectrum-n_states", "shift-sweep-n_states", "alpha-harmonic-0", "alpha-empty",
             "dx-nan", "L-nan", "L-0", "kappa-nan", "omega-nan", "dt-nan",
             "exact-verify-n_points", "cotangent-n_points", "x_min-inf", "evolve-sigma-0",
             "evolve-sigma-nan", "measures-sigma-nan", "L_over_a-nan", "alpha-amplitude-nan",
-            "alpha-amplitudes-zero", "evolve-center-nan"])
+            "alpha-amplitudes-zero", "evolve-center-nan", "L-below-one-step",
+            "plane-wave-k-nan", "quartic-coeff-nan", "policy-unknown"])
     def test_constructor_refusal_exit_two(self, tmp_path, capsys, command, text, key):
         # each is refused on the line of its key by the constructor or check
         # that the command calls, before the run could end in a Python error

@@ -92,6 +92,16 @@ class TestNonlinearParams:
         with pytest.raises(IncommensurateShiftError):
             params.shift_steps(g)
 
+    def test_shift_below_one_step_rejected(self, consts):
+        # eta L = 5e-15 rounds to 0 steps within the absolute tolerance; taken
+        # as 0 steps, the bracket would vanish and F would be Q alone
+        g = Grid(x_min=-5.0, dx=0.01, n_points=1000)
+        params = NonlinearParams.for_length(1e-14, 0.5, consts)
+        p = density(normalize(Wavefunction(g, np.exp(-g.x**2 / 2))))
+        with pytest.raises(IncommensurateShiftError, match="distance 5e-15 is .* nonzero integer"):
+            nonlinear_term_F(p, params, consts)
+        assert g.steps_for(0.0) == 0
+
 
 class TestDensity:
     def test_constant_state(self):

@@ -72,10 +72,11 @@ class TestFisher:
 
     def test_gaussian_closed_form(self):
         # I_F = 2/sigma^2 for p ~ exp(-x^2/sigma^2)
-        g = periodic_grid(width=24.0, n=2048)
         sigma = 1.3
-        p = gaussian_density(g, sigma=sigma)
-        assert fisher_information(p).value == pytest.approx(2.0 / sigma**2, rel=0.01)
+        for g in (periodic_grid(width=24.0, n=2048),
+                  Grid(x_min=-12.0, dx=24.0 / 2048, n_points=2049, boundary="dirichlet")):
+            p = gaussian_density(g, sigma=sigma)
+            assert fisher_information(p).value == pytest.approx(2.0 / sigma**2, rel=0.01)
 
     def test_translation_invariance(self):
         # translated copy on the torus: identical samples, rolled

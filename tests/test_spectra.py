@@ -23,7 +23,6 @@ from infonls import (
     nodeless_shift_integral,
     nonlinear_term_F,
     normalize,
-    quantum_potential_term,
     resample_state,
     sho_ground_shift_closed,
     solve_linear_spectrum,
@@ -209,29 +208,27 @@ class TestFirstOrderShift:
 
 
 class TestShiftQuadrature:
-    """delta_E sums p Q with uniform weights (the first-difference form); the
-    trapezoid integral p F halves the two end weights."""
+    """delta_E sums p Q in first-difference form, which is integrate(p Q) by
+    summation by parts on both boundaries, so integrate(p F) is delta_E."""
 
     def _gap(self, psi, params, consts):
         p = density(psi)
         pF = p.values * nonlinear_term_F(p, params, consts).values
-        Q = quantum_potential_term(p, consts).values
         gap = integrate(pF, psi.grid) - first_order_shift_numeric(psi, params, consts).delta_E
-        end = -0.5 * psi.grid.dx * (p.values[0] * Q[0] + p.values[-1] * Q[-1])
-        return gap, end, integrate(np.abs(pF), psi.grid)
+        return gap, integrate(np.abs(pF), psi.grid)
 
     @pytest.mark.parametrize("n", (601, 2401))
     @pytest.mark.parametrize("node", (False, True))
-    def test_dirichlet_gap_is_end_half_weight_term(self, consts, n, node):
-        g = Grid(x_min=-3.0, dx=6.0 / (n - 1), n_points=n, boundary="dirichlet")
+    @pytest.mark.parametrize("boundary", ("dirichlet", "periodic"))
+    def test_gap_is_rounding(self, consts, boundary, node, n):
+        # the window ends in the tails, so halving the two end weights would
+        # move integrate(p F) by 3.4e-3 to 0.25 on the dirichlet grids
+        g = Grid(x_min=-3.0, dx=6.0 / (n - 1), n_points=n, boundary=boundary)
         vals = np.exp(-g.x**2 / 2) * (g.x if node else 1.0)
         psi = normalize(Wavefunction(g, vals.astype(complex)))
         params = NonlinearParams.for_length(5 * g.dx / 0.6, 0.6, consts)
-        gap, end, _ = self._gap(psi, params, consts)
-        # the window ends in the tails, so the end term is far above rounding
-        # (measured: 3.4e-3 to 0.25, equal to the gap within 9e-13 relative)
-        assert end > 1e-3
-        assert gap == pytest.approx(end, rel=1e-9)
+        gap, scale = self._gap(psi, params, consts)
+        assert abs(gap) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", (256, 1024))
     def test_periodic_gap_is_rounding(self, consts, n):
@@ -239,7 +236,7 @@ class TestShiftQuadrature:
         amp = np.sqrt(1.0 + 0.5 * np.sin(g.x) + 0.2 * np.cos(2 * g.x)) * np.exp(1j * g.x)
         psi = normalize(Wavefunction(g, amp))
         params = NonlinearParams.for_length(6 * g.dx / 0.4, 0.4, consts)
-        gap, _, scale = self._gap(psi, params, consts)
+        gap, scale = self._gap(psi, params, consts)
         assert abs(gap) <= 1e-12 * scale
 
 
