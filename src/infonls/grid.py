@@ -28,8 +28,10 @@ from .errors import (
     ZeroNormError,
 )
 
-#: Relative density floor: floors are ``FLOOR_REL * max(p)`` and enter only
-#: logarithms and denominators, never multiplicative factors.
+#: Relative density floor: floors are ``FLOOR_REL * max(p)``. The bracket of
+#: F sees its three densities clamped at the floor; the quantum potential
+#: floors only its denominator, so its cancellation against the kinetic term
+#: stands.
 FLOOR_REL = 1e-12
 
 #: Relative tolerance for "shift distance is an integer number of steps".
@@ -192,7 +194,7 @@ class Density:
         object.__setattr__(self, "values", v)
 
     def floor(self) -> float:
-        """Density floor used inside logarithms and denominators."""
+        """The density floor, FLOOR_REL * max(p) (see ``_floor_raw``)."""
         return _floor_raw(self.values)
 
 

@@ -170,8 +170,8 @@ def first_order_shift_numeric(
     The quantum-potential part of the expectation is accumulated in first-
     difference form, - (hbar^2/2m) sum (D sqrt p)^2 dx, which is robust to
     rough state noise. By summation by parts it equals sum p Q dx, so
-    delta_E is ``integrate(p * F)`` to rounding on both boundaries. Densities
-    are floored inside logs and denominators; nodes are not excised.
+    delta_E is ``integrate(p * F)`` to rounding on both boundaries. The
+    bracket sees the densities clamped at the floor; nodes are not excised.
 
     The density, its floor and the difference sum depend on the state alone,
     so they are computed on the first call for a state and reused by later

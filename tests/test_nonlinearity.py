@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,12 @@ from hypothesis import strategies as st
 
 from infonls import (
     Density,
+    ExactSolutionSpec,
     Grid,
     NonlinearParams,
     PhysConstants,
+    build_exact_state,
+    density,
     nonlinear_term_F,
     quantum_potential_term,
     regularized_kl_term,
@@ -24,26 +29,27 @@ def make_params(L, eta):
 
 
 def reference_bracket(p, steps, eta, policy, eps):
-    """The bracket as both branches at every point, selected by np.where."""
-    pp = _shift_raw(p, +steps, policy, eps)
-    pm = _shift_raw(p, -steps, policy, eps)
-    safe = (p > 100.0 * eps) & (pp > 100.0 * eps) & (pm > 100.0 * eps)
-    rp = (pp - p) / np.maximum(p, eps)
-    rm = (pm - p) / np.maximum(p, eps)
+    """The bracket's one formula over the whole array: the log1p form in the
+    ratios of the three densities clamped at the floor."""
+    fp = np.maximum(p, eps)
+    rp = (np.maximum(_shift_raw(p, +steps, policy, eps), eps) - fp) / fp
+    rm = (np.maximum(_shift_raw(p, -steps, policy, eps), eps) - fp) / fp
     num = (1.0 - eta) * rp - eta * rm + (1.0 - 2.0 * eta) * rp * rm
     den = (1.0 + eta * rp) * (1.0 + (1.0 - eta) * rm)
-    stable = -np.log1p(eta * rp) + eta * num / np.maximum(den, 1e-300)
+    return -np.log1p(eta * rp) + eta * num / den
 
-    d_plus = (1.0 - eta) * p + eta * pp
-    d_minus = (1.0 - eta) * pm + eta * p
-    raw = (
-        np.log(np.maximum(p, eps))
-        - np.log(np.maximum(d_plus, eps))
-        + 1.0
-        - (1.0 - eta) * p / np.maximum(d_plus, eps)
-        - eta * pm / np.maximum(d_minus, eps)
-    )
-    return np.where(safe, stable, raw)
+
+def longdouble_bracket(p, steps, eta, policy, eps):
+    """Accuracy oracle: the bracket of the clamped densities in np.longdouble,
+    in its literal form ln p - ln d+ + 1 - (1-eta) p/d+ - eta p-/d-, with
+    d+ = (1-eta) p + eta p+ and d- = (1-eta) p- + eta p."""
+    ld = np.longdouble
+    fp, pp, pm = (np.maximum(q, eps).astype(ld) for q in
+                  (p, _shift_raw(p, +steps, policy, eps), _shift_raw(p, -steps, policy, eps)))
+    e = ld(eta)
+    d_plus = (1 - e) * fp + e * pp
+    d_minus = (1 - e) * pm + e * fp
+    return np.log(fp) - np.log(d_plus) + 1 - (1 - e) * fp / d_plus - e * pm / d_minus
 
 
 def assert_same_bits(a, b):
@@ -57,8 +63,8 @@ def block_edges(n, block):
     return [k * n // blocks for k in range(1, blocks)]
 
 
-# densities with exact zeros, values at the floor and at 100x the floor (the
-# branch threshold), deep tails and spikes of up to 1e6 over them
+# densities with exact zeros, values at the floor and at 100x the floor, deep
+# tails and spikes of up to 1e6 over them
 _values = st.one_of(
     st.just(0.0),
     st.floats(min_value=-16.0, max_value=6.0).map(lambda e: 10.0**e),
@@ -77,12 +83,33 @@ def degenerate_densities(draw):
     return p
 
 
+# constant levels: ordinary, all zero, and subnormal (FLOOR_REL * p
+# underflows, so the floor is 1e-300, above the density)
+CONSTANT_LEVELS = (0.25, 0.0, 1e-320)
+
+
 class TestRegularizedKLTerm:
     def test_constant_density_zero(self):
         g = periodic_grid(width=4.0, n=128)
-        p = Density(g, np.full(128, 0.25))
-        field = regularized_kl_term(p, make_params(0.25, 0.5))
-        assert np.all(field.values == 0.0)
+        for level in CONSTANT_LEVELS:
+            p = Density(g, np.full(128, level))
+            field = regularized_kl_term(p, make_params(0.25, 0.5))
+            assert np.all(field.values == 0.0), level
+
+    def test_floored_tail_is_zero(self):
+        # a narrow Gaussian whose tails sit below the floor: there p and both
+        # shifts clamp to the floor and the KL term vanishes. Its largest
+        # value, -514, is at the edge of the tail, where p is just above the
+        # floor and one shift is clamped; the bare prefactor is 2500
+        g = Grid(x_min=-4.0, dx=0.01, n_points=800, boundary="periodic")
+        p = np.exp(-g.x**2 / 0.1)
+        params = make_params(0.04, 0.5)
+        kl = regularized_kl_term(Density(g, p), params).values
+        eps = _floor_raw(p)
+        steps = params.shift_steps(g)
+        tail = (p <= eps) & (np.roll(p, steps) <= eps) & (np.roll(p, -steps) <= eps)
+        assert tail[0] and np.all(kl[tail] == 0.0)
+        assert np.abs(kl).max() < 0.25 * params.cal_E / params.eta**4
 
     def test_gamma_scaled_density_gives_constant_energy(self, consts):
         # density with p(x + eta L) = gamma p(x): the field is the constant
@@ -147,8 +174,8 @@ class TestRegularizedKLTerm:
 
 
 class TestBracketReference:
-    """The bracket evaluates its literal branch only at the degenerate points;
-    it must give the same bits as both branches selected by np.where."""
+    """The bracket is one formula at every point, evaluated block by block;
+    it must give the bits of that formula over the whole array."""
 
     @given(
         p=degenerate_densities(),
@@ -157,7 +184,7 @@ class TestBracketReference:
         policy=st.sampled_from(["floor", "extrap", "periodic"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_bits_match_two_branch_reference(self, p, data, eta, policy):
+    def test_bits_match_reference(self, p, data, eta, policy):
         steps = data.draw(st.integers(1, p.size - 1)) * data.draw(st.sampled_from([1, -1]))
         eps = _floor_raw(p)
         with np.errstate(all="ignore"):
@@ -168,7 +195,8 @@ class TestBracketReference:
     @pytest.mark.parametrize("steps", [16, -16])
     @pytest.mark.parametrize("eta", [0.3, 0.8, 1.0])
     def test_all_safe_density(self, steps, eta):
-        # every point and shift above 100x the floor: nothing is gathered
+        # a strictly positive density, every point and shift far above the
+        # floor
         g = periodic_grid(width=2 * np.pi, n=256, x_min=0.0)
         p = skewed_density(g).values
         eps = _floor_raw(p)
@@ -178,13 +206,13 @@ class TestBracketReference:
 
     @pytest.mark.parametrize("policy", ["floor", "extrap", "periodic"])
     def test_all_zero_density(self, policy):
-        # every point takes the literal branch at the 1e-300 floor; away from
-        # the edges every log cancels
+        # p, both shifts and the floor edge fill clamp to the 1e-300 floor, so
+        # every ratio is 0 and so is the bracket, edges included
         p = np.zeros(64)
         eps = _floor_raw(p)
         got = _kl_bracket_raw(p, 5, 0.6, policy, eps)
         assert_same_bits(got, reference_bracket(p, 5, 0.6, policy, eps))
-        assert np.all(got[5:-5] == 1.0)
+        assert np.all(got == 0.0)
 
     @given(
         p=degenerate_densities(),
@@ -214,8 +242,7 @@ class TestBracketReference:
     @pytest.mark.parametrize("policy", ["floor", "extrap", "periodic"])
     def test_three_blocks_with_a_node(self, policy):
         # 2 _BLOCK + 3 points: three blocks, the node (an exact zero) on the
-        # first edge, tails under the branch threshold in the first and last
-        # blocks
+        # first edge, tails under 100x the floor in the first and last blocks
         n = 2 * nonlinearity._BLOCK + 3
         edge = block_edges(n, nonlinearity._BLOCK)[0]
         u = (np.arange(n) - edge) / (n / 16.0)
@@ -228,6 +255,41 @@ class TestBracketReference:
                 with np.errstate(all="ignore"):
                     expected = reference_bracket(p, steps, eta, policy, eps)
                 assert_same_bits(_kl_bracket_raw(p, steps, eta, policy, eps), expected)
+
+
+def _oracle_states():
+    """(label, density, steps, policy) of the accuracy oracle: the
+    criterion-12 exact half-line state (nodes every 8 points), x^2 exp(-x^2)
+    with its node on the middle grid point, a Gaussian longer than one block
+    and the skewed periodic density."""
+    params = make_params(0.1, 0.8)
+    g = Grid(x_min=0.0, dx=0.8 * 0.1 / 16, n_points=144 * 16 + 1, boundary="dirichlet")
+    exact = density(build_exact_state(ExactSolutionSpec(kappa=1.0, params=params), g)).values
+    x = np.linspace(-8.0, 8.0, 16385)
+    x_long = np.linspace(-8.0, 8.0, 131073)
+    skewed = skewed_density(periodic_grid(width=2 * np.pi, n=2304, x_min=0.0)).values
+    return [
+        ("exact-floor", exact, 16, "floor"),
+        ("exact-extrap", exact, 16, "extrap"),
+        ("node-16385", x**2 * np.exp(-(x**2)), 64, "floor"),
+        ("gauss-131073", np.exp(-(x_long**2)), 512, "floor"),
+        ("skewed-1", skewed, 1, "periodic"),
+        ("skewed-16", skewed, 16, "periodic"),
+    ]
+
+
+class TestBracketAccuracy:
+    """The float64 bracket against the np.longdouble literal form of the same
+    clamped densities, within 1e-12 of the largest |bracket|."""
+
+    @pytest.mark.parametrize("eta", [0.2, 0.5, 0.8, 1.0])
+    def test_within_bound_of_longdouble_oracle(self, eta):
+        for label, p, steps, policy in _oracle_states():
+            eps = _floor_raw(p)
+            got = _kl_bracket_raw(p, steps, eta, policy, eps)
+            ref = longdouble_bracket(p, steps, eta, policy, eps)
+            err = float(np.abs(got - ref).max() / np.abs(ref).max())
+            assert err < 1e-12, label
 
 
 class TestQuantumPotential:
@@ -265,9 +327,10 @@ class TestQuantumPotential:
 class TestFullNonlinearTerm:
     def test_plane_wave_density_zero(self, consts):
         g = periodic_grid(width=4.0, n=128)
-        p = Density(g, np.full(128, 0.25))
-        f = nonlinear_term_F(p, make_params(0.25, 0.5), consts)
-        assert np.abs(f.values).max() < 1e-10
+        for level in CONSTANT_LEVELS:
+            p = Density(g, np.full(128, level))
+            f = nonlinear_term_F(p, make_params(0.25, 0.5), consts)
+            assert np.abs(f.values).max() < 1e-10, level
 
     def test_linear_theory_is_zero(self, consts):
         g = periodic_grid(width=4.0, n=128)
@@ -287,12 +350,26 @@ class TestFullNonlinearTerm:
             assert not term.singular_mask.any() and not term.values.flags.writeable
 
     def test_all_zero_density_takes_the_kernel_floor(self, consts):
-        # an all-zero density is floored at 1e-300 like in the RHS kernel, so
-        # every log in the bracket cancels and F is the bare prefactor
+        # an all-zero density is floored at 1e-300 like in the RHS kernel: the
+        # bracket sees the three densities clamped there and vanishes, and so
+        # does Q, so F is 0 as on any constant density
         g = periodic_grid(width=4.0, n=128)
         params = make_params(0.25, 0.5)
         f = nonlinear_term_F(Density(g, np.zeros(128)), params, consts)
-        assert np.all(f.values == params.cal_E / params.eta**4)
+        assert np.all(f.values == 0.0)
+
+    def test_eta_one_on_a_node_warns_only_unregularized(self, consts):
+        # x^2 exp(-x^2) has an exact zero at x = 0, which the points 5 steps
+        # away see as a shift; clamped at the floor, it keeps log1p(eta r)
+        # off log1p(-1) at eta = 1
+        g = Grid(x_min=-4.0, dx=0.01, n_points=801, boundary="periodic")
+        p = g.x**2 * np.exp(-g.x**2)
+        assert (p == 0.0).any()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            f = nonlinear_term_F(Density(g, p), make_params(0.05, 1.0), consts)
+        assert [w.category for w in caught] == [UnregularizedEtaWarning]
+        assert np.isfinite(f.values).all()
 
     def test_underflowing_floor_takes_the_fallback(self, consts):
         # amplitude 1e-160: max p = 1e-320, where FLOOR_REL * max(p)

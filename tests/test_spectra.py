@@ -1,5 +1,6 @@
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +34,11 @@ from infonls.errors import (
     NonFiniteObjectiveError,
     ParameterDomainError,
 )
-from infonls.grid import integrate
+from infonls.config import parse_config
+from infonls.grid import _floor_raw, integrate
 from conftest import gaussian_density, periodic_grid, traced_peak
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ETA_NODE_MIN = (7 + np.sqrt(33)) / 16
 ETA_GAUSS_MIN = (3 + np.sqrt(3)) / 6
@@ -205,6 +209,49 @@ class TestFirstOrderShift:
             num = shifts[e1] / shifts[e2]
             ref = node_shift_eta_profile(e1) / node_shift_eta_profile(e2)
             assert num == pytest.approx(ref, rel=0.05)
+
+
+def longdouble_shift(psi, params, consts, eps):
+    """delta_E in np.longdouble with no floor: the literal bracket of the raw
+    density and its shifts, whose off-grid samples are the 'floor' policy's
+    fill eps, and the first-difference quantum-potential sum."""
+    ld = np.longdouble
+    re, im = psi.values.real.astype(ld), psi.values.imag.astype(ld)
+    p = re * re + im * im
+    assert (p > 0).all()
+    steps = params.shift_steps(psi.grid)
+    fill = np.full(steps, ld(eps))
+    pp = np.concatenate([p[steps:], fill])
+    pm = np.concatenate([fill, p[:-steps]])
+    e = ld(params.eta)
+    d_plus = (1 - e) * p + e * pp
+    d_minus = (1 - e) * pm + e * p
+    bracket = np.log(p) - np.log(d_plus) + 1 - (1 - e) * p / d_plus - e * pm / d_minus
+    dx = ld(psi.grid.dx)
+    kl = np.sum(p * bracket) * ld(params.cal_E) / e**4 * dx
+    s = np.sqrt(p)
+    dsq = np.sum(np.diff(s) ** 2) + s[0] ** 2 + s[-1] ** 2
+    return kl - ld(consts.hbar) ** 2 / (2 * ld(consts.mass)) * dsq / dx
+
+
+class TestShiftAccuracy:
+    def test_shift_sweep_config_matches_longdouble(self, consts):
+        # both harmonic states of configs/shift_sweep.cfg at all six (eta, L):
+        # the deep tails sit below the floor, where the bracket sees clamped
+        # densities, yet delta_E keeps the unfloored value to 1e-6
+        cfg = parse_config((CONFIG_DIR / "shift_sweep.cfg").read_text())
+        g = Grid(x_min=cfg.x_min, dx=cfg.dx, n_points=cfg.n_points, boundary=cfg.boundary)
+        V = harmonic_potential(g, consts, cfg.omega)
+        states = solve_linear_spectrum(V, g, consts, cfg.n_states).states
+        assert len(states) == 2
+        for psi in states:
+            eps = _floor_raw(density(psi).values)
+            for eta in cfg.eta_values:
+                for L in cfg.L_values:
+                    params = NonlinearParams.for_length(L, eta, consts)
+                    got = first_order_shift_numeric(psi, params, consts).delta_E
+                    ref = longdouble_shift(psi, params, consts, eps)
+                    assert abs(float(got / ref) - 1.0) < 1e-6, (eta, L)
 
 
 class TestShiftQuadrature:
