@@ -5,12 +5,17 @@ Grammar (format_version 1): lines are either ``[section]`` headers,
 scalars or comma-separated lists; alpha profiles use ``harmonic:amplitude``
 pairs. parse/render round-trip exactly on valid configs.
 
-``parse_config`` and ``run_sweep`` validate through ``_inputs``: the rules on
-the config itself, then the command's one inputs function (``sweeps``), which
-builds what the command builds. The CLI calls ``_read`` and ``_inputs``
-itself and runs what they built, so it builds each input once. Rules on
-values are the constructors' own; ``_built`` lands a refusal on the line of
-the key its message opens with.
+``parse_config`` and ``run_sweep`` validate through ``_inputs``, the only
+reader of a config. It checks the format version and the command, builds the
+constants and the grid, and hands the command's one inputs function
+(``sweeps``) a view of the config that records each key read; that function
+builds what the command builds and checks each name where it reads it. Then
+a set key that nothing read (in ``lines`` or, in a config built in Python,
+away from its default) is refused on its line as "<command> does not read
+[section] key"; [output] directory, which the CLI reads, is exempt. The CLI
+calls ``_read`` and ``_inputs`` itself and runs what they built, so it
+builds each input once. Rules on values are the constructors' own;
+``_built`` lands a refusal on the line of the key its message opens with.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigParseError, ConfigValidationError, InfonlsError
-from .grid import Grid, PhysConstants, _check_policy
+from .grid import Grid, PhysConstants
 
 FORMAT_VERSION = 1
 
@@ -31,12 +36,6 @@ COMMANDS = (
     "cotangent",
     "measures",
 )
-
-POTENTIAL_KINDS = ("zero", "harmonic", "quartic")
-
-ETA_OPT_PROFILES = ("node-excited", "gaussian-ground")
-
-INITIAL_KINDS = ("gaussian", "plane-wave")
 
 
 @dataclass
@@ -197,29 +196,41 @@ def _built(lines: dict[str, int], attr: str, build, *args, at: str = ""):
         raise _err(lines, attr, f"{message} ({at})" if at else message) from None
 
 
+class _Reads:
+    """A view of a config that records the name of each attribute read
+    through it."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self._cfg = cfg
+        self.names: set[str] = set()
+
+    def __getattr__(self, name: str):
+        self.names.add(name)
+        return getattr(self._cfg, name)
+
+
 def _inputs(cfg: ExperimentConfig, lines: dict[str, int]):
     """(schema, solve) of cfg's command, after building what it builds. A
-    rule or constructor that refuses a value raises ConfigValidationError on
-    the line of its key, if ``lines`` has it."""
+    rule or constructor that refuses a value, and a set key that nothing
+    read, raise ConfigValidationError on the line of the key, if ``lines``
+    has it."""
     from .sweeps import _COMMANDS  # sweeps imports this module
 
-    if cfg.format_version != FORMAT_VERSION:
+    seen = _Reads(cfg)
+    if seen.format_version != FORMAT_VERSION:
         raise _err(lines, "format_version", f"unsupported format_version {cfg.format_version}")
-    if cfg.command not in COMMANDS:
+    if seen.command not in COMMANDS:
         raise _err(lines, "command", f"unknown command '{cfg.command}'; one of {COMMANDS}")
-    consts = _built(lines, "hbar", PhysConstants, cfg.hbar, cfg.mass)
-    grid = _built(lines, "dx", Grid, cfg.x_min, cfg.dx, cfg.n_points, cfg.boundary)
-    if cfg.policy:
-        _built(lines, "policy", _check_policy, cfg.policy)
-        if cfg.command not in ("evolve", "shift-sweep", "measures"):
-            raise _err(lines, "policy", f"{cfg.command} does not read [nonlinearity] policy")
-    if cfg.potential_kind not in POTENTIAL_KINDS:
-        raise _err(lines, "potential_kind", f"unknown potential kind '{cfg.potential_kind}'")
-    if cfg.initial_kind not in INITIAL_KINDS:
-        raise _err(lines, "initial_kind", f"unknown initial state '{cfg.initial_kind}'")
-    if cfg.profile not in ETA_OPT_PROFILES:
-        raise _err(lines, "profile", f"unknown profile '{cfg.profile}'; one of {ETA_OPT_PROFILES}")
-    return _COMMANDS[cfg.command](cfg, lines, consts, grid)
+    consts = _built(lines, "hbar", PhysConstants, seen.hbar, seen.mass)
+    grid = _built(lines, "dx", Grid, seen.x_min, seen.dx, seen.n_points, seen.boundary)
+    inputs = _COMMANDS[cfg.command](seen, lines, consts, grid)
+    defaults = ExperimentConfig(command=cfg.command)
+    for (section, key), (attr, _) in _SCHEMA.items():
+        if attr in seen.names or attr == "directory":
+            continue
+        if attr in lines or getattr(cfg, attr) != getattr(defaults, attr):
+            raise _err(lines, attr, f"{cfg.command} does not read [{section}] {key}")
+    return inputs
 
 
 def _format(tag: str, value) -> str:

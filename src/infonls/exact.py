@@ -269,13 +269,20 @@ def cotangent_potential(
     """
     x = grid.x
     half_period = math.pi / cot.beta
-    nearest = np.round(x / half_period) * half_period
-    mask = np.abs(x - nearest) < singular_radius
-    ok = ~mask
-    bx = cot.beta * x
-    vals = np.zeros(x.size)
+    # |x - round(x/(pi/beta))*(pi/beta)|, then beta x, in one buffer
+    t = x / half_period
+    np.round(t, out=t)
+    t *= half_period
+    np.subtract(x, t, out=t)
+    mask = np.abs(t, out=t) < singular_radius
+    bx = np.multiply(x, cot.beta, out=t)
+    # A + B cos/sin at every point, in place, then 0 on the mask
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals[ok] = cot.A + cot.B * np.cos(bx[ok]) / np.sin(bx[ok])
+        vals = np.cos(bx)
+        vals *= cot.B
+        vals /= np.sin(bx, out=bx)
+        vals += cot.A
+    vals[mask] = 0.0
     bad = ~np.isfinite(vals)
     if bad.any():
         raise ParameterDomainError(

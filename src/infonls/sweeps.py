@@ -1,10 +1,12 @@
 """Experiment execution: each command's inputs and solve, a CSV table and a
 JSON manifest.
 
-Each command has one inputs function in ``_COMMANDS``. It builds every object
-the command builds before its solve, states included, and returns the CSV
-schema and a solve that computes the rows from those objects alone. Config
-validation and ``run_sweep`` both call it, through ``config._inputs``.
+Each command has one inputs function in ``_COMMANDS``, the one place that
+knows which keys the command reads. ``config._inputs`` calls it on a view of
+the config that records each read; it checks each name where it reads it,
+builds every object the command builds before its solve, states included,
+and returns the CSV schema and a solve that computes the rows from those
+objects alone, never from the config.
 
 Determinism contract: identical configs produce byte-identical CSVs and the
 same manifest input hash. Floats are serialized with repr (shortest
@@ -37,7 +39,7 @@ from .exact import (
     linear_residual_cotangent,
     nonlinear_residual,
 )
-from .grid import Density, NonlinearParams, Wavefunction, _check_steps, _normalized
+from .grid import Density, NonlinearParams, Wavefunction, _check_policy, _check_steps, _normalized
 from .measures import fisher_information, kl_divergence_shifted, shannon_entropy
 from .spectra import (
     _check_eigensolver,
@@ -99,10 +101,12 @@ def _initial_state(cfg: ExperimentConfig, grid) -> Wavefunction:
     x = grid.x
     if cfg.initial_kind == "plane-wave":
         vals = np.exp(1j * cfg.initial_k * x)
-    else:
+    elif cfg.initial_kind == "gaussian":
         if not math.isfinite(cfg.initial_center):
             raise ValueError("center must be finite")
         vals = np.exp(-((x - cfg.initial_center) ** 2) / (4.0 * cfg.initial_sigma**2))
+    else:
+        raise ValueError(f"initial state '{cfg.initial_kind}' unknown; one of gaussian, plane-wave")
     return _normalized(grid, vals)
 
 
@@ -119,7 +123,17 @@ def _potential(cfg: ExperimentConfig, lines, consts, grid):
         return _built(lines, "omega", harmonic_potential, grid, consts, cfg.omega)
     if cfg.potential_kind == "quartic":
         return _built(lines, "quartic_coeff", quartic_potential, grid, cfg.quartic_coeff)
+    if cfg.potential_kind != "zero":
+        raise _err(lines, "potential_kind", f"unknown potential kind '{cfg.potential_kind}'")
     return zero_potential(grid)
+
+
+def _policy(cfg: ExperimentConfig, lines, grid) -> str:
+    """The shift policy of a command that shifts a density: the config's,
+    else the grid's default."""
+    policy = cfg.policy or grid.default_policy()
+    _built(lines, "policy", _check_policy, policy)
+    return policy
 
 
 def _params(cfg: ExperimentConfig, lines, consts, grid, bounded=True) -> list:
@@ -150,22 +164,25 @@ def _one_params(cfg: ExperimentConfig, lines, consts, grid, bounded=True) -> Non
 def _evolve(cfg, lines, consts, grid):
     V = _potential(cfg, lines, consts, grid)
     params = _one_params(cfg, lines, consts, grid)
-    if not (cfg.dt > 0 and cfg.n_steps > 0):
+    dt, n_steps = cfg.dt, cfg.n_steps
+    if not (dt > 0 and n_steps > 0):
         raise _err(lines, "dt", "evolve requires positive dt and n_steps")
+    policy = _policy(cfg, lines, grid)
     attr = "initial_k" if cfg.initial_kind == "plane-wave" else "initial_sigma"
     psi0 = _built(lines, attr, _initial_state, cfg, grid)
 
     def solve():
-        report = evolve(psi0, V, params, consts, cfg.dt, cfg.n_steps, policy=cfg.policy or None)
+        report = evolve(psi0, V, params, consts, dt, n_steps, policy=policy)
         return list(zip(report.times, report.norm_drift, report.energy_trace))
     return "evolve", solve
 
 
 def _spectrum(cfg, lines, consts, grid):
     V = _potential(cfg, lines, consts, grid)
-    _built(lines, "boundary", _check_eigensolver, grid, cfg.n_states, cfg.command)
+    n_states = cfg.n_states
+    _built(lines, "boundary", _check_eigensolver, grid, n_states, cfg.command)
     return "spectrum", lambda: [(j, float(e)) for j, e in enumerate(
-        solve_linear_spectrum(V, grid, consts, cfg.n_states).energies)]
+        solve_linear_spectrum(V, grid, consts, n_states).energies)]
 
 
 def _shift_sweep(cfg, lines, consts, grid):
@@ -173,22 +190,31 @@ def _shift_sweep(cfg, lines, consts, grid):
     if not cfg.eta_values or not cfg.L_values:
         raise _err(lines, "eta_values", "shift-sweep requires eta and L lists")
     points = _params(cfg, lines, consts, grid)
-    _built(lines, "boundary", _check_eigensolver, grid, cfg.n_states, cfg.command)
+    n_states = cfg.n_states
+    _built(lines, "boundary", _check_eigensolver, grid, n_states, cfg.command)
+    policy = _policy(cfg, lines, grid)
 
     def solve():
-        states = solve_linear_spectrum(V, grid, consts, cfg.n_states).states
-        shifts = [(j, first_order_shift_numeric(state, params, consts, policy=cfg.policy or None))
+        states = solve_linear_spectrum(V, grid, consts, n_states).states
+        shifts = [(j, first_order_shift_numeric(state, params, consts, policy=policy))
                   for params in points for j, state in enumerate(states)]
         return [(res.eta, res.L, j, res.delta_E) for j, res in shifts]
     return "shift_result", solve
 
 
 def _eta_opt(cfg, lines, consts, grid):
-    objective = (node_shift_eta_profile if cfg.profile == "node-excited"
-                 else lambda eta: sho_ground_shift_closed(eta, cfg.L_over_a))
+    profile = cfg.profile
+    if profile == "node-excited":
+        objective = node_shift_eta_profile
+    elif profile == "gaussian-ground":
+        L_over_a = cfg.L_over_a
+        objective = lambda eta: sho_ground_shift_closed(eta, L_over_a)  # noqa: E731
+    else:
+        raise _err(lines, "profile",
+                   f"unknown profile '{profile}'; one of ('node-excited', 'gaussian-ground')")
     # one evaluation, so that the profile refuses its own parameter
     _built(lines, "profile", objective, 0.5)
-    return "eta_opt", lambda: [(cfg.profile, *minimize_over_eta(objective))]
+    return "eta_opt", lambda: [(profile, *minimize_over_eta(objective))]
 
 
 def _exact(cfg, lines, consts, grid):
@@ -212,24 +238,27 @@ def _exact(cfg, lines, consts, grid):
         raise _err(lines, "alpha", "cotangent takes only the default alpha = 1:1.0")
     psi = _built(lines, "n_points", build_exact_state, spec, grid)
     radius *= grid.dx
+    kappa = cfg.kappa
     if cfg.command == "cotangent":
-        cot = cotangent_params(cfg.kappa, params, consts)
-        return "cotangent", lambda: [(cfg.kappa, params.eta, params.L, cot.A, cot.B, cot.beta,
+        cot = cotangent_params(kappa, params, consts)
+        return "cotangent", lambda: [(kappa, params.eta, params.L, cot.A, cot.B, cot.beta,
                                       linear_residual_cotangent(psi, e, cot, consts, radius))]
     lower, _ = exact_energy_bounds(params, consts)
-    return "exact_verify", lambda: [(cfg.kappa, params.eta, params.L, e, lower,
+    return "exact_verify", lambda: [(kappa, params.eta, params.L, e, lower,
                                      *nonlinear_residual(psi, e, params, consts, radius))]
 
 
 def _measures(cfg, lines, consts, grid):
-    if not cfg.L_values:
+    L_values = cfg.L_values
+    if not L_values:
         raise _err(lines, "L_values", "measures requires an L list")
     _params(cfg, lines, consts, grid)
     dens = _built(lines, "density_sigma", _density, cfg, grid)
+    policy = _policy(cfg, lines, grid)
 
     def solve():
-        values = [("kl_shifted", L, kl_divergence_shifted(dens, L, policy=cfg.policy or None))
-                  for L in cfg.L_values]
+        values = [("kl_shifted", L, kl_divergence_shifted(dens, L, policy=policy))
+                  for L in L_values]
         values += [("fisher", 0.0, fisher_information(dens)),
                    ("shannon", 0.0, shannon_entropy(dens))]
         return [(name, L, v.value, v.quadrature_error_estimate) for name, L, v in values]
@@ -250,9 +279,11 @@ _COMMANDS = {
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> RunManifest:
     """Build cfg's inputs as ``parse_config`` does (ConfigValidationError,
-    with no line numbers), solve on the calling thread and write one CSV and
-    a manifest. ``threads`` is accepted and ignored (a thread pool made shift
-    sweeps slower); it stays until ``perfbench`` stops passing it."""
+    with no line numbers; an attribute away from its default that the
+    command does not read is refused), solve on the calling thread and write
+    one CSV and a manifest. ``threads`` is accepted and ignored (a thread
+    pool made shift sweeps slower); it stays until ``perfbench`` stops
+    passing it."""
     t0 = time.perf_counter()
     return _run(cfg, _inputs(cfg, {}), out_dir, t0)
 

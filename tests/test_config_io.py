@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+import re
 import threading
 import warnings
 from pathlib import Path
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from infonls import sweeps
 from infonls.cli import main as cli_main
-from infonls.config import COMMANDS, ExperimentConfig, parse_config, render_config
+from infonls.config import COMMANDS, ExperimentConfig, _inputs, _read, parse_config, render_config
 from infonls.errors import ConfigParseError, ConfigValidationError, NonFiniteError
 from infonls.sweeps import emit_results, run_sweep
 
@@ -120,6 +123,17 @@ SHORT_HALFLINE = EXACT_VERIFY.replace("n_points = 18433", "n_points = 201")
 FEW_POINTS = SWEEP.replace("n_points = 8001", "n_points = 10").replace(
     "n_states = 2", "n_states = 3")
 
+
+def as_spectrum(text):
+    """A shift-sweep text as a spectrum config, without the eta and L lists
+    that spectrum does not read."""
+    return text.replace("shift-sweep", "spectrum").replace(
+        "[nonlinearity]\neta = 0.2, 0.4, 0.6\nL = 0.06, 0.12\n", "")
+
+
+SPECTRUM = as_spectrum(SWEEP)
+ETA_OPT = "[run]\nformat_version = 1\ncommand = eta-opt\n"
+
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 EVOLVE_CFG = next(p for p in CONFIGS if p.name == "evolve.cfg").read_text()
 
@@ -196,8 +210,7 @@ class TestParse:
     def test_spectrum_requires_dirichlet_named(self):
         # the eigensolver solves the Dirichlet box only; a periodic grid is
         # refused on its boundary line, or without one when the key is absent
-        for command in ("spectrum", "shift-sweep"):
-            text = SWEEP.replace("shift-sweep", command)
+        for command, text in (("spectrum", SPECTRUM), ("shift-sweep", SWEEP)):
             bad = text.replace("boundary = dirichlet", "boundary = periodic")
             line = bad.splitlines().index("boundary = periodic") + 1
             with pytest.raises(ConfigValidationError,
@@ -207,24 +220,24 @@ class TestParse:
                 parse_config(text.replace("boundary = dirichlet\n", ""))
             assert parse_config(text).command == command
 
-    @pytest.mark.parametrize("command", ["spectrum", "eta-opt", "exact-verify", "cotangent"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_unread_policy_named(self, command):
-        # these commands never shift a density under a chosen policy, so the
-        # key would change only the input hash; it is refused on its line
-        base = {"spectrum": SWEEP.replace("shift-sweep", "spectrum"),
-                "eta-opt": "[run]\nformat_version = 1\ncommand = eta-opt\n",
-                "exact-verify": EXACT_VERIFY,
-                "cotangent": EXACT_VERIFY.replace("exact-verify", "cotangent")}[command]
+        # evolve, shift-sweep and measures shift a density under the policy;
+        # the other four never read the key, which would change only the
+        # input hash, so it is refused on its line like any unread key
+        base = {"evolve": MINIMAL_EVOLVE, "spectrum": SPECTRUM, "shift-sweep": SWEEP,
+                "eta-opt": ETA_OPT, "exact-verify": EXACT_VERIFY,
+                "cotangent": EXACT_VERIFY.replace("exact-verify", "cotangent"),
+                "measures": MEASURES}[command]
         assert parse_config(base).command == command
-        text = base + "[nonlinearity]\npolicy = floor\n"
-        with pytest.raises(ConfigValidationError,
-                           match=f"line {len(text.splitlines())}: {command} does not read"):
+        if command in ("evolve", "shift-sweep", "measures"):
+            text = base.replace("[nonlinearity]", "[nonlinearity]\npolicy = extrap")
+            assert parse_config(text).policy == "extrap"
+            return
+        text = base + "[nonlinearity]\npolicy = extrap\n"
+        with pytest.raises(ConfigValidationError, match=re.escape(
+                f"line {len(text.splitlines())}: {command} does not read [nonlinearity] policy")):
             parse_config(text)
-
-    def test_policy_read_by_three_commands(self):
-        for text in (MINIMAL_EVOLVE, SWEEP, MEASURES):
-            cfg = parse_config(text.replace("[nonlinearity]", "[nonlinearity]\npolicy = extrap"))
-            assert cfg.policy == "extrap"
 
     def test_error_carries_line_number(self):
         bad = MINIMAL_EVOLVE.replace("eta = 0.5", "eta = 1.5")
@@ -270,9 +283,28 @@ class TestParse:
         assert parse_config(render_config(cfg)) == cfg
 
 
+# the manifest input_hash of each shipped config, as scripts/csv_digests.py
+# prints it: a change to the schema, the defaults or the echo moves one
+INPUT_HASHES = {
+    "cotangent.cfg": "a35a130738d3801c22923b69e54114a638703f24c3ad53c20ee2834a7f764b57",
+    "eta_opt.cfg": "8528c75ade2f0be8208e870591396df9044f6272e9491f09a55940a200a1f9fa",
+    "evolve.cfg": "a0aa60e8ce98e3c1a6c69e340aa08ea7c518f0395e6a4f3abeafef11d466e3c0",
+    "exact_verify.cfg": "62789907de9101968f1bc95eb4f1f4696cffdc2faee9c4d0691332bcc3e29252",
+    "measures.cfg": "8db6aea238eb259c6e9a06917fe6db450c6d4febb48e751ec1600c3ab8f35bd6",
+    "shift_sweep.cfg": "8f8d55f83c9f8c7cbd555ae649425a43104d098b6badbfbbc5855ba8a4f01177",
+    "spectrum.cfg": "947c79d6a67c837e769fc22bb4f6059a214d85d6772037d69488644438bde7aa",
+}
+
+
 class TestShippedConfigs:
     def test_one_per_command(self):
         assert sorted(p.stem.replace("_", "-") for p in CONFIGS) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_input_hash_pinned(self, path):
+        # the hash run_sweep writes, from the echo alone: no solve runs
+        echo = render_config(parse_config(path.read_text()))
+        assert hashlib.sha256(echo.encode()).hexdigest() == INPUT_HASHES[path.name]
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_parses_and_round_trips(self, path):
@@ -354,14 +386,36 @@ class TestRunSweep:
          "unknown potential kind 'harmonc'"),
         (ExperimentConfig(command="eta-opt", profile="node-excitd"),
          "unknown profile 'node-excitd'"),
-    ], ids=["potential-kind", "profile"])
+        (ExperimentConfig(command="measures", eta_values=(0.5,), L_values=(0.1,)),
+         "measures does not read [nonlinearity] eta"),
+    ], ids=["potential-kind", "profile", "unread-eta"])
     def test_hand_built_config_validated(self, tmp_path, cfg, message):
         # run_sweep validates as parse_config does, without line numbers;
-        # unvalidated, the kind typo would solve the hard box and the profile
-        # typo would write the Gaussian-profile optimum under its label
-        with pytest.raises(ConfigValidationError, match=f"^{message}"):
+        # unvalidated, the kind typo would solve the hard box, the profile
+        # typo would write the Gaussian-profile optimum under its label and
+        # the unread eta would change only the input hash
+        with pytest.raises(ConfigValidationError, match="^" + re.escape(message)):
             run_sweep(cfg, tmp_path / "o")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL_EVOLVE.replace("[nonlinearity]", "[nonlinearity]\npolicy = extrap"),
+        SPECTRUM,
+        SWEEP.replace("0.2, 0.4, 0.6", "0.4").replace("[nonlinearity]", "[nonlinearity]\npolicy = extrap"),
+        ETA_OPT + "[eta-opt]\nprofile = gaussian-ground\nL_over_a = 0.2\n",
+        EXACT_VERIFY,
+        with_radius(EXACT_VERIFY, "0.4", "cotangent"),
+        MEASURES.replace("[nonlinearity]", "[nonlinearity]\npolicy = extrap"),
+    ], ids=COMMANDS)
+    def test_solve_reads_no_config(self, text):
+        # a solve computes from what the inputs function built, so junk in
+        # every config attribute after the build changes none of its rows
+        cfg, lines = _read(text)
+        expected = _inputs(cfg, lines)[1]()
+        solve = _inputs(cfg, lines)[1]
+        for field in dataclasses.fields(cfg):
+            setattr(cfg, field.name, object())
+        assert solve() == expected
 
     def test_manifest_references_outputs(self, tmp_path):
         cfg = parse_config(SWEEP)
@@ -387,7 +441,6 @@ class TestRunSweep:
             dx=0.01,
             n_points=2000,
             boundary="periodic",
-            eta_values=(0.5,),
             L_values=(0.1, 0.05),
             density_sigma=1.0,
         )
@@ -436,7 +489,7 @@ class TestCli:
         assert cli_main(["evolve", "--config", str(tmp_path / "nope.cfg")]) == 2
 
     @pytest.mark.parametrize("command, text, key", [
-        ("spectrum", FEW_POINTS.replace("shift-sweep", "spectrum"), "n_states ="),
+        ("spectrum", as_spectrum(FEW_POINTS), "n_states ="),
         ("shift-sweep", FEW_POINTS.replace("0.2, 0.4, 0.6", "0.4").replace("0.06, 0.12", "0.015"),
          "n_states ="),
         ("exact-verify", EXACT_VERIFY + "alpha = 0:1.0\n", "alpha ="),
@@ -445,8 +498,7 @@ class TestCli:
         ("evolve", MINIMAL_EVOLVE.replace("L = 0.1", "L = nan"), "L ="),
         ("evolve", MINIMAL_EVOLVE.replace("L = 0.1", "L = 0"), "L ="),
         ("exact-verify", EXACT_VERIFY.replace("kappa = 1.0", "kappa = nan"), "kappa ="),
-        ("spectrum", SWEEP.replace("shift-sweep", "spectrum").replace("omega = 1.0", "omega = nan"),
-         "omega ="),
+        ("spectrum", SPECTRUM.replace("omega = 1.0", "omega = nan"), "omega ="),
         ("evolve", MINIMAL_EVOLVE.replace("dt = 2e-5", "dt = nan"), "dt ="),
         ("exact-verify", SHORT_HALFLINE, "n_points ="),
         ("cotangent", SHORT_HALFLINE.replace("exact-verify", "cotangent"), "n_points ="),
@@ -454,24 +506,30 @@ class TestCli:
         ("evolve", MINIMAL_EVOLVE.replace("sigma = 1.0", "sigma = 0.0"), "sigma ="),
         ("evolve", MINIMAL_EVOLVE.replace("sigma = 1.0", "sigma = nan"), "sigma ="),
         ("measures", MEASURES + "[measures]\nsigma = nan\n", "sigma ="),
-        ("eta-opt", "[run]\nformat_version = 1\ncommand = eta-opt\n[eta-opt]\n"
-         "profile = gaussian-ground\nL_over_a = nan\n", "L_over_a ="),
+        ("eta-opt", ETA_OPT + "[eta-opt]\nprofile = gaussian-ground\nL_over_a = nan\n",
+         "L_over_a ="),
         ("exact-verify", EXACT_VERIFY + "alpha = 1:nan\n", "alpha ="),
         ("exact-verify", EXACT_VERIFY + "alpha = 1:0.0\n", "alpha ="),
         ("evolve", MINIMAL_EVOLVE + "center = nan\n", "center ="),
         ("evolve", EVOLVE_CFG.replace("L = 0.1", "L = 1e-14"), "eta ="),
         ("evolve", MINIMAL_EVOLVE.replace("initial = gaussian\nsigma = 1.0",
                                           "initial = plane-wave\nk = nan"), "k ="),
-        ("spectrum", SWEEP.replace("shift-sweep", "spectrum").replace(
+        ("spectrum", SPECTRUM.replace(
             "kind = harmonic\nomega = 1.0", "kind = quartic\ncoeff = nan"), "coeff ="),
         ("evolve", MINIMAL_EVOLVE.replace("[nonlinearity]", "[nonlinearity]\npolicy = wrap"),
          "policy ="),
+        ("evolve", MINIMAL_EVOLVE + "k = nan\n", "k ="),
+        ("eta-opt", ETA_OPT + "[eta-opt]\nprofile = node-excited\nL_over_a = nan\n",
+         "L_over_a ="),
+        ("spectrum", SPECTRUM.replace("kind = harmonic", "kind = quartic"), "omega ="),
+        ("measures", MEASURES.replace("[nonlinearity]", "[nonlinearity]\neta = 0.5"), "eta ="),
     ], ids=["spectrum-n_states", "shift-sweep-n_states", "alpha-harmonic-0", "alpha-empty",
             "dx-nan", "L-nan", "L-0", "kappa-nan", "omega-nan", "dt-nan",
             "exact-verify-n_points", "cotangent-n_points", "x_min-inf", "evolve-sigma-0",
             "evolve-sigma-nan", "measures-sigma-nan", "L_over_a-nan", "alpha-amplitude-nan",
             "alpha-amplitudes-zero", "evolve-center-nan", "L-below-one-step",
-            "plane-wave-k-nan", "quartic-coeff-nan", "policy-unknown"])
+            "plane-wave-k-nan", "quartic-coeff-nan", "policy-unknown", "gaussian-k-unread",
+            "node-excited-L_over_a-unread", "quartic-omega-unread", "measures-eta-unread"])
     def test_constructor_refusal_exit_two(self, tmp_path, capsys, command, text, key):
         # each is refused on the line of its key by the constructor or check
         # that the command calls, before the run could end in a Python error

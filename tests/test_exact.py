@@ -269,6 +269,12 @@ class TestAllocationBudget:
         peak = traced_peak(lambda: nonlinear_residual(psi, e, self.params, consts, radius))
         assert peak < 7.5 * 8 * self.grid.n_points
 
+    def test_cotangent_potential(self, consts):
+        # 4.5 arrays, against 7.2 with boolean-indexed copies
+        cot = cotangent_params(1.0, self.params, consts)
+        peak = traced_peak(lambda: cotangent_potential(cot, self.grid, 0.4 * self.grid.dx))
+        assert peak < 5.0 * 8 * self.grid.n_points
+
 
 class TestDegeneracy:
     def test_distinct_alphas_share_energy(self, consts):
