@@ -116,7 +116,7 @@ def rhs_apply(
 ) -> Wavefunction:
     """(1/i hbar) [ -(hbar^2/2m) psi'' + V psi + F(p) psi ]."""
     rhs = _make_rhs(psi.grid, V, params, consts, policy)
-    return Wavefunction(psi.grid, rhs(psi.values.astype(np.complex128)))
+    return Wavefunction(psi.grid, rhs(psi.values))
 
 
 def _rk4_raw(psi: np.ndarray, rhs, dt: float, k1: np.ndarray) -> np.ndarray:
@@ -159,7 +159,7 @@ def rk4_step(
     """One classical fourth-order step of the full equation."""
     _check_dt(dt, psi.grid, consts)
     rhs = _make_rhs(psi.grid, V, params, consts, policy)
-    v = psi.values.astype(np.complex128)
+    v = psi.values
     return Wavefunction(psi.grid, _rk4_raw(v, rhs, dt, rhs(v)))
 
 
@@ -185,7 +185,7 @@ def evolve(
     _check_dt(dt, psi0.grid, consts)
     grid = psi0.grid
     rhs = _make_rhs(grid, V, params, consts, policy)
-    psi = psi0.values.astype(np.complex128)
+    psi = psi0.values
     # divergence is detected and reported below; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
         k1, norm0, e0 = rhs(psi, diagnose=True)

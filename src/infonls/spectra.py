@@ -34,6 +34,7 @@ from .grid import (
     _normalized,
     _positive,
     _readonly,
+    integrate,
 )
 from .nonlinearity import _kl_bracket_raw
 
@@ -104,12 +105,7 @@ def solve_linear_spectrum(
 
 
 def _derived(state: Wavefunction, key: str, build):
-    """build(state), computed on the first use and kept on the state.
-
-    Concurrent first uses may each build; every caller gets the first value
-    stored, and all of them are equal because ``build`` reads only the
-    immutable state.
-    """
+    """build(state), computed on the first use and kept on the state."""
     cache = state._derived
     try:
         return cache[key]
@@ -215,8 +211,9 @@ def nodeless_shift_integral(
     """Shift of a strictly positive (nodeless) density from its derivative
     expansion, calibrated against the Gaussian closed form.
 
-    Uses central stencils up to the fourth derivative; the quadrature runs
-    over the interior where the full five-point stencil fits.
+    Uses central stencils up to the fourth derivative; the quadrature
+    (``integrate``, dx * sum) runs over the interior where the full
+    five-point stencil fits.
     """
     if not 0.0 <= eta <= 1.0:
         raise ParameterDomainError(f"eta = {eta} outside [0, 1]")
@@ -238,7 +235,7 @@ def nodeless_shift_integral(
         + 4.0 * pc**2 * d1 * d3
         + pc**2 * (3.0 * d2**2 - 2.0 * pc * d4)
     ) / pc**3
-    raw = float(np.trapezoid(integrand, dx=dx))
+    raw = integrate(integrand, p.grid)
     return (
         NODELESS_CALIBRATION
         * consts.hbar**2

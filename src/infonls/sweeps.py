@@ -3,7 +3,8 @@ JSON manifest.
 
 Each command has one inputs function in ``_COMMANDS``, the one place that
 knows which keys the command reads. ``config._inputs`` calls it on a view of
-the config that records each read; it checks each name where it reads it,
+the config that records each read and refuses a value on its key's line
+(``built``, ``refuse``); it checks each name where it reads it,
 builds every object the command builds before its solve, states included,
 and returns the CSV schema and a solve that computes the rows from those
 objects alone, never from the config.
@@ -26,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, _built, _err, _inputs, render_config
-from .dynamics import evolve, harmonic_potential, quartic_potential, zero_potential
+from .config import ExperimentConfig, _inputs, render_config
+from .dynamics import _check_dt, evolve, harmonic_potential, quartic_potential, zero_potential
 from .errors import NonFiniteError
 from .exact import (
     ExactSolutionSpec,
@@ -39,7 +40,15 @@ from .exact import (
     linear_residual_cotangent,
     nonlinear_residual,
 )
-from .grid import Density, NonlinearParams, Wavefunction, _check_policy, _check_steps, _normalized
+from .grid import (
+    Density,
+    NonlinearParams,
+    Wavefunction,
+    _check_policy,
+    _check_steps,
+    _normalized,
+    integrate,
+)
 from .measures import fisher_information, kl_divergence_shifted, shannon_entropy
 from .spectra import (
     _check_eigensolver,
@@ -115,28 +124,28 @@ def _density(cfg: ExperimentConfig, grid) -> Density:
     x = grid.x
     center = 0.5 * (x[0] + x[-1])
     p = np.exp(-((x - center) ** 2) / cfg.density_sigma**2)
-    return Density(grid, p / np.sum(p * grid.dx))
+    return Density(grid, p / integrate(p, grid))
 
 
-def _potential(cfg: ExperimentConfig, lines, consts, grid):
+def _potential(cfg, consts, grid):
     if cfg.potential_kind == "harmonic":
-        return _built(lines, "omega", harmonic_potential, grid, consts, cfg.omega)
+        return cfg.built("omega", harmonic_potential, grid, consts, cfg.omega)
     if cfg.potential_kind == "quartic":
-        return _built(lines, "quartic_coeff", quartic_potential, grid, cfg.quartic_coeff)
+        return cfg.built("quartic_coeff", quartic_potential, grid, cfg.quartic_coeff)
     if cfg.potential_kind != "zero":
-        raise _err(lines, "potential_kind", f"unknown potential kind '{cfg.potential_kind}'")
+        raise cfg.refuse("potential_kind", f"unknown potential kind '{cfg.potential_kind}'")
     return zero_potential(grid)
 
 
-def _policy(cfg: ExperimentConfig, lines, grid) -> str:
+def _policy(cfg, grid) -> str:
     """The shift policy of a command that shifts a density: the config's,
     else the grid's default."""
     policy = cfg.policy or grid.default_policy()
-    _built(lines, "policy", _check_policy, policy)
+    cfg.built("policy", _check_policy, policy)
     return policy
 
 
-def _params(cfg: ExperimentConfig, lines, consts, grid, bounded=True) -> list:
+def _params(cfg, consts, grid, bounded=True) -> list:
     """NonlinearParams of each (eta, L) point in order, its shift whole grid
     steps and, where the command shifts a density, below n_points. The
     measures shift is L itself, the eta = 1 shift of scale L."""
@@ -147,29 +156,30 @@ def _params(cfg: ExperimentConfig, lines, consts, grid, bounded=True) -> list:
                   for eta in cfg.eta_values for L in cfg.L_values]
     out = []
     for eta, L, attr, at in points:
-        params = _built(lines, "L_values", NonlinearParams.for_length, L, eta, consts, at=at)
-        steps = _built(lines, attr, params.shift_steps, grid, at=at)
+        params = cfg.built("L_values", NonlinearParams.for_length, L, eta, consts, at=at)
+        steps = cfg.built(attr, params.shift_steps, grid, at=at)
         if bounded:
-            _built(lines, attr, _check_steps, steps, grid.n_points, at=at)
+            cfg.built(attr, _check_steps, steps, grid.n_points, at=at)
         out.append(params)
     return out
 
 
-def _one_params(cfg: ExperimentConfig, lines, consts, grid, bounded=True) -> NonlinearParams:
+def _one_params(cfg, consts, grid, bounded=True) -> NonlinearParams:
     if len(cfg.eta_values) != 1 or len(cfg.L_values) != 1:
-        raise _err(lines, "eta_values", f"{cfg.command} requires exactly one eta and one L")
-    return _params(cfg, lines, consts, grid, bounded)[0]
+        raise cfg.refuse("eta_values", f"{cfg.command} requires exactly one eta and one L")
+    return _params(cfg, consts, grid, bounded)[0]
 
 
-def _evolve(cfg, lines, consts, grid):
-    V = _potential(cfg, lines, consts, grid)
-    params = _one_params(cfg, lines, consts, grid)
+def _evolve(cfg, consts, grid):
+    V = _potential(cfg, consts, grid)
+    params = _one_params(cfg, consts, grid)
     dt, n_steps = cfg.dt, cfg.n_steps
     if not (dt > 0 and n_steps > 0):
-        raise _err(lines, "dt", "evolve requires positive dt and n_steps")
-    policy = _policy(cfg, lines, grid)
+        raise cfg.refuse("dt", "evolve requires positive dt and n_steps")
+    cfg.built("dt", _check_dt, dt, grid, consts)
+    policy = _policy(cfg, grid)
     attr = "initial_k" if cfg.initial_kind == "plane-wave" else "initial_sigma"
-    psi0 = _built(lines, attr, _initial_state, cfg, grid)
+    psi0 = cfg.built(attr, _initial_state, cfg, grid)
 
     def solve():
         report = evolve(psi0, V, params, consts, dt, n_steps, policy=policy)
@@ -177,22 +187,22 @@ def _evolve(cfg, lines, consts, grid):
     return "evolve", solve
 
 
-def _spectrum(cfg, lines, consts, grid):
-    V = _potential(cfg, lines, consts, grid)
+def _spectrum(cfg, consts, grid):
+    V = _potential(cfg, consts, grid)
     n_states = cfg.n_states
-    _built(lines, "boundary", _check_eigensolver, grid, n_states, cfg.command)
+    cfg.built("boundary", _check_eigensolver, grid, n_states, cfg.command)
     return "spectrum", lambda: [(j, float(e)) for j, e in enumerate(
         solve_linear_spectrum(V, grid, consts, n_states).energies)]
 
 
-def _shift_sweep(cfg, lines, consts, grid):
-    V = _potential(cfg, lines, consts, grid)
+def _shift_sweep(cfg, consts, grid):
+    V = _potential(cfg, consts, grid)
     if not cfg.eta_values or not cfg.L_values:
-        raise _err(lines, "eta_values", "shift-sweep requires eta and L lists")
-    points = _params(cfg, lines, consts, grid)
+        raise cfg.refuse("eta_values", "shift-sweep requires eta and L lists")
+    points = _params(cfg, consts, grid)
     n_states = cfg.n_states
-    _built(lines, "boundary", _check_eigensolver, grid, n_states, cfg.command)
-    policy = _policy(cfg, lines, grid)
+    cfg.built("boundary", _check_eigensolver, grid, n_states, cfg.command)
+    policy = _policy(cfg, grid)
 
     def solve():
         states = solve_linear_spectrum(V, grid, consts, n_states).states
@@ -202,7 +212,7 @@ def _shift_sweep(cfg, lines, consts, grid):
     return "shift_result", solve
 
 
-def _eta_opt(cfg, lines, consts, grid):
+def _eta_opt(cfg, consts, grid):
     profile = cfg.profile
     if profile == "node-excited":
         objective = node_shift_eta_profile
@@ -210,33 +220,33 @@ def _eta_opt(cfg, lines, consts, grid):
         L_over_a = cfg.L_over_a
         objective = lambda eta: sho_ground_shift_closed(eta, L_over_a)  # noqa: E731
     else:
-        raise _err(lines, "profile",
-                   f"unknown profile '{profile}'; one of ('node-excited', 'gaussian-ground')")
+        raise cfg.refuse(
+            "profile", f"unknown profile '{profile}'; one of ('node-excited', 'gaussian-ground')")
     # one evaluation, so that the profile refuses its own parameter
-    _built(lines, "profile", objective, 0.5)
+    cfg.built("profile", objective, 0.5)
     return "eta_opt", lambda: [(profile, *minimize_over_eta(objective))]
 
 
-def _exact(cfg, lines, consts, grid):
+def _exact(cfg, consts, grid):
     """exact-verify and cotangent; the cotangent check never shifts a
     density, so its shift is not bounded."""
-    params = _one_params(cfg, lines, consts, grid, bounded=cfg.command != "cotangent")
-    spec = _built(lines, "alpha", ExactSolutionSpec, cfg.kappa, params, cfg.alpha)
-    e = _built(lines, "eta_values", exact_energy, cfg.kappa, params, consts)
-    _built(lines, "boundary", _check_halfline, grid, cfg.command)
+    params = _one_params(cfg, consts, grid, bounded=cfg.command != "cotangent")
+    spec = cfg.built("alpha", ExactSolutionSpec, cfg.kappa, params, cfg.alpha)
+    e = cfg.built("eta_values", exact_energy, cfg.kappa, params, consts)
+    cfg.built("boundary", _check_halfline, grid, cfg.command)
     # x = 0 is a singular point of the cotangent potential on every such
     # grid, so its radius must be positive; exact-verify accepts zero
     radius = cfg.node_exclusion_radius_steps
     if cfg.command == "cotangent" and not radius > 0:
-        raise _err(lines, "node_exclusion_radius_steps",
-                   f"node_exclusion_radius_steps = {radius} must be positive")
+        raise cfg.refuse("node_exclusion_radius_steps",
+                         f"node_exclusion_radius_steps = {radius} must be positive")
     if not radius >= 0:
-        raise _err(lines, "node_exclusion_radius_steps",
-                   f"node_exclusion_radius_steps = {radius} must not be negative")
+        raise cfg.refuse("node_exclusion_radius_steps",
+                         f"node_exclusion_radius_steps = {radius} must not be negative")
     # the cotangent potential reproduces only the single-harmonic state
     if cfg.command == "cotangent" and cfg.alpha != ExperimentConfig.alpha:
-        raise _err(lines, "alpha", "cotangent takes only the default alpha = 1:1.0")
-    psi = _built(lines, "n_points", build_exact_state, spec, grid)
+        raise cfg.refuse("alpha", "cotangent takes only the default alpha = 1:1.0")
+    psi = cfg.built("n_points", build_exact_state, spec, grid)
     radius *= grid.dx
     kappa = cfg.kappa
     if cfg.command == "cotangent":
@@ -248,13 +258,13 @@ def _exact(cfg, lines, consts, grid):
                                      *nonlinear_residual(psi, e, params, consts, radius))]
 
 
-def _measures(cfg, lines, consts, grid):
+def _measures(cfg, consts, grid):
     L_values = cfg.L_values
     if not L_values:
-        raise _err(lines, "L_values", "measures requires an L list")
-    _params(cfg, lines, consts, grid)
-    dens = _built(lines, "density_sigma", _density, cfg, grid)
-    policy = _policy(cfg, lines, grid)
+        raise cfg.refuse("L_values", "measures requires an L list")
+    _params(cfg, consts, grid)
+    dens = cfg.built("density_sigma", _density, cfg, grid)
+    policy = _policy(cfg, grid)
 
     def solve():
         values = [("kl_shifted", L, kl_divergence_shifted(dens, L, policy=policy))

@@ -142,6 +142,20 @@ def with_radius(text, radius, command="exact-verify"):
     return text.replace("exact-verify", command) + f"node_exclusion_radius_steps = {radius}\n"
 
 
+# a strategy for each ExperimentConfig annotation; NaN is left out because it
+# compares unequal to itself, and text holds no whitespace, which the parse
+# strips at the ends of a value
+_FLOAT = st.floats(allow_nan=False)
+VALUES = {
+    "str": st.text(st.characters(min_codepoint=33, max_codepoint=126)),
+    "int": st.integers(),
+    "float": _FLOAT,
+    "tuple[float, ...]": st.lists(_FLOAT, max_size=4).map(tuple),
+    "tuple[tuple[int, float], ...]": st.lists(st.tuples(st.integers(), _FLOAT),
+                                              max_size=4).map(tuple),
+}
+
+
 class TestParse:
     def test_minimal_evolve_defaults(self):
         cfg = parse_config(MINIMAL_EVOLVE)
@@ -260,6 +274,21 @@ class TestParse:
         for text in (MINIMAL_EVOLVE, SWEEP, EXACT_VERIFY + "alpha = 1:1.0, 2:0.5\n"):
             cfg = parse_config(text)
             assert parse_config(render_config(cfg)) == cfg
+
+    @given(st.fixed_dictionaries(
+        {f.name: VALUES[f.type] for f in dataclasses.fields(ExperimentConfig)}))
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_every_field(self, values):
+        # render and the parse before validation invert each other on any
+        # value of every annotation, so each converter is exercised; a
+        # drawn config is not a valid experiment, so parse_config would
+        # refuse most of them before comparing
+        cfg = ExperimentConfig(**values)
+        parsed, lines = _read(render_config(cfg))
+        assert parsed == cfg
+        assert set(lines) == {"command", "format_version"} | {
+            name for name, v in values.items()
+            if v != getattr(ExperimentConfig(command=cfg.command), name)}
 
     @given(
         eta=st.floats(min_value=0.1, max_value=1.0),
@@ -523,13 +552,15 @@ class TestCli:
          "L_over_a ="),
         ("spectrum", SPECTRUM.replace("kind = harmonic", "kind = quartic"), "omega ="),
         ("measures", MEASURES.replace("[nonlinearity]", "[nonlinearity]\neta = 0.5"), "eta ="),
+        ("evolve", MINIMAL_EVOLVE.replace("dt = 2e-5", "dt = 1.0"), "dt ="),
     ], ids=["spectrum-n_states", "shift-sweep-n_states", "alpha-harmonic-0", "alpha-empty",
             "dx-nan", "L-nan", "L-0", "kappa-nan", "omega-nan", "dt-nan",
             "exact-verify-n_points", "cotangent-n_points", "x_min-inf", "evolve-sigma-0",
             "evolve-sigma-nan", "measures-sigma-nan", "L_over_a-nan", "alpha-amplitude-nan",
             "alpha-amplitudes-zero", "evolve-center-nan", "L-below-one-step",
             "plane-wave-k-nan", "quartic-coeff-nan", "policy-unknown", "gaussian-k-unread",
-            "node-excited-L_over_a-unread", "quartic-omega-unread", "measures-eta-unread"])
+            "node-excited-L_over_a-unread", "quartic-omega-unread", "measures-eta-unread",
+            "dt-above-dt_max"])
     def test_constructor_refusal_exit_two(self, tmp_path, capsys, command, text, key):
         # each is refused on the line of its key by the constructor or check
         # that the command calls, before the run could end in a Python error
@@ -548,11 +579,12 @@ class TestCli:
         assert cli_main(["cotangent", "--config", path, "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
-    def test_numerical_failure_exit_three(self, tmp_path):
-        # dt far above the stability bound -> UnstableStep -> exit 3
-        bad = MINIMAL_EVOLVE.replace("dt = 2e-5", "dt = 1.0")
-        path = self.write(tmp_path, bad)
-        assert cli_main(["evolve", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    def test_numerical_failure_exit_three(self, tmp_path, capsys):
+        # an exclusion radius wider than the grid leaves the residual no
+        # point to measure; that fails in the solve -> exit 3
+        path = self.write(tmp_path, with_radius(EXACT_VERIFY, "1e9"))
+        assert cli_main(["exact-verify", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert "no grid points left after exclusions" in capsys.readouterr().err
 
     def test_evolve_end_to_end(self, tmp_path):
         path = self.write(tmp_path, MINIMAL_EVOLVE)
