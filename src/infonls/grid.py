@@ -294,19 +294,31 @@ def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray
     _check_policy(policy)
     _check_steps(steps, n)
     out = np.empty_like(p)
-    # edge points whose source k - steps lies on the grid: the last m for
-    # steps > 0, the first m for steps < 0
-    m = min(abs(steps), n - abs(steps))
     if steps > 0:
         out[: n - steps] = p[steps:]
-        out[n - steps:] = eps
-        known, src = slice(n - m, n), slice(n - m - steps, n - steps)
+        _edge_fill(p, steps, policy, eps, out[n - steps:])
     else:
         out[-steps:] = p[:steps]
-        out[:-steps] = eps
-        known, src = slice(0, m), slice(-steps, m - steps)
+        _edge_fill(p, steps, policy, eps, out[:-steps])
+    return out
+
+
+def _edge_fill(p: np.ndarray, steps: int, policy: str, eps: float, out: np.ndarray) -> np.ndarray:
+    """The one edge rule of a non-periodic shift, written into ``out``: the
+    |steps| samples p[k + steps] that fall off the grid, for the last |steps|
+    points k if steps > 0, the first |steps| if steps < 0. 'floor' fills
+    eps; 'extrap' fills p[k]^2 / max(p[k - steps], eps) where k - steps lies
+    on the grid, and eps elsewhere."""
+    n, h = p.size, abs(steps)
+    out[:] = eps
     if policy == "extrap":
-        out[known] = p[known] ** 2 / np.maximum(p[src], eps)
+        # edge points whose source k - steps lies on the grid: the last m for
+        # steps > 0, the first m for steps < 0
+        m = min(h, n - h)
+        if steps > 0:
+            out[h - m:] = p[n - m:] ** 2 / np.maximum(p[n - m - steps: n - steps], eps)
+        else:
+            out[:m] = p[:m] ** 2 / np.maximum(p[-steps: m - steps], eps)
     return out
 
 

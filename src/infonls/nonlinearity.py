@@ -7,9 +7,11 @@ field is O(L) once the energy-scale constraint cal_E * L^2 = hbar^2/4m holds.
 F multiplies psi as a potential does: the public terms are ``grid.Potential``.
 
 Every consumer of F evaluates it through ``_field_raw`` (the bracket alone
-through ``_kl_bracket_raw``), and every floor is the one rule
-``FLOOR_REL * max(p)`` of ``grid._floor_raw`` (1e-300 where that product
-is not positive: an all-zero density, or one so small that it underflows).
+through ``_kl_bracket_raw``; the shift's sum of p times the bracket through
+``_kl_energy_raw``, which never forms the bracket), and every floor is the
+one rule ``FLOOR_REL * max(p)`` of ``grid._floor_raw`` (1e-300 where that
+product is not positive: an all-zero density, or one so small that it
+underflows).
 The bracket sees the three densities clamped at the floor, max(p, eps), so
 it is 0 wherever p and both shifts sit at or below the floor, and an all-zero
 density has F = 0 like any constant one. The quantum potential floors only
@@ -39,6 +41,9 @@ from .grid import (
     NonlinearParams,
     PhysConstants,
     Potential,
+    _check_policy,
+    _check_steps,
+    _edge_fill,
     _floor_raw,
     _laplacian_raw,
     _shift_raw,
@@ -151,6 +156,99 @@ def _field_raw(
     kl *= params.cal_E / params.eta**4
     kl += _quantum_potential_raw(p, grid.dx, grid.boundary, eps, consts)
     return kl
+
+
+def _kl_energy_raw(
+    p: np.ndarray, steps: int, eta: float, policy: str, eps: float, low: np.ndarray
+) -> float:
+    """sum_k p_k bracket_k, the bracket of ``_kl_bracket_raw(p, steps, eta,
+    policy, eps)``, without evaluating the bracket; ``low`` holds the indices
+    of the points of p below eps, in increasing order.
+
+    With fp = max(p, eps) and fp+- its clamped shifts, x = eta (fp+ - fp)/fp,
+    d+ = fp (1 + x) and d- = eta fp + (1 - eta) fp-, the bracket is
+    A - B - log1p(x) with A = eta fp+/d+ and B = eta fp-/d-. Where j + h
+    is on the grid (h = steps), p_j A_j and p_{j+h} B_{j+h} cancel unless
+    one of the two points is below the floor, and sum p x telescopes to the
+    fp of the first and last h points. What is left: the A terms of the
+    last h points and the B terms of the first h, whose shifts are
+    ``_edge_fill``'s; one pair term per pair with a sub-floor point; and
+    sum p (x - log1p(x)) over the points whose +h sample is on the grid,
+    which has no cancellation between points. The last h points keep
+    -log1p(x) whole, since their x is built from the edge fill. A periodic
+    policy pairs cyclically and has no edge terms.
+    """
+    n = p.size
+    periodic = policy == "periodic"
+    if periodic:
+        h = steps % n
+    else:
+        _check_policy(policy)
+        _check_steps(steps, n)
+        if steps < 0:  # the mirror image of p, shifted the other way
+            p, low, steps = p[::-1], (n - 1 - low)[::-1], -steps
+        h = steps
+    if h == 0:
+        return 0.0
+    fp = np.maximum(p, eps) if low.size else p
+    m = n if periodic else n - h
+    x = np.empty(m)
+    np.subtract(fp[h:], fp[: n - h], out=x[: n - h])
+    if periodic:
+        np.subtract(fp[:h], fp[n - h:], out=x[n - h:])
+    x /= fp[:m]
+    x *= eta
+    total = _floor_terms(p, fp, x, h, eta, low, periodic) if low.size else 0.0
+    lx = np.log1p(x)
+    x -= lx
+    total += float(np.dot(p[:m], x))
+    if not periodic:
+        total += _edge_terms(p, fp, h, eta, policy, eps)
+    return total
+
+
+def _floor_terms(
+    p: np.ndarray, fp: np.ndarray, x: np.ndarray, h: int, eta: float,
+    low: np.ndarray, periodic: bool,
+) -> float:
+    """The terms of the sub-floor points, where p - fp is not 0: their
+    (p - fp) x, which sum p x does not telescope; the eta (p - fp) of the
+    edge points among them; and one pair term per pair (j, j + h) with a
+    sub-floor point, eta (p_j fp_{j+h} - p_{j+h} fp_j) / d+_j, taken in the
+    ratio r = fp_{j+h}/fp_j (at most 1/FLOOR_REL), as eta (p_j r - p_{j+h}) /
+    (1 - eta + eta r), so that no product of two densities underflows."""
+    n, m = p.size, x.size
+    dl = p[low] - fp[low]
+    below = low < m
+    total = -float(np.dot(dl[below], x[low[below]]))
+    if periodic:
+        j = np.union1d(low, (low - h) % n)
+    else:
+        total += eta * (float(np.sum(dl[low >= m])) - float(np.sum(dl[low < h])))
+        j = np.union1d(low[below], low[low >= h] - h)
+    k = (j + h) % n
+    r = fp[k] / fp[j]
+    pair = (p[j] * r - p[k]) / ((1.0 - eta) + eta * r)
+    return total + eta * float(np.sum(pair))
+
+
+def _edge_terms(
+    p: np.ndarray, fp: np.ndarray, h: int, eta: float, policy: str, eps: float
+) -> float:
+    """The terms of the last and first h points of a non-periodic shift,
+    whose off-grid samples are ``_edge_fill``'s: p (A - eta - log1p(x)) over
+    the last h and -p (B - eta) over the first h, the eta being what
+    sum p x telescopes to. With r+- = (fp+- - fp)/fp, A - eta is
+    eta (1 - eta) r+ / (1 + x) and B - eta is eta^2 r- / (1 + (1 - eta) r-),
+    both 0 where the fill equals p."""
+    n = p.size
+    fr, fl = fp[n - h:], fp[:h]
+    rp = (np.maximum(_edge_fill(p, h, policy, eps, np.empty(h)), eps) - fr) / fr
+    rm = (np.maximum(_edge_fill(p, -h, policy, eps, np.empty(h)), eps) - fl) / fl
+    x = eta * rp
+    right = (eta * (1.0 - eta)) * rp / (1.0 + x) - np.log1p(x)
+    left = (eta * eta) * rm / (1.0 + (1.0 - eta) * rm)
+    return float(np.dot(p[n - h:], right)) - float(np.dot(p[:h], left))
 
 
 def _warn_if_unregularized(params: NonlinearParams) -> None:

@@ -36,7 +36,7 @@ from .grid import (
     _readonly,
     integrate,
 )
-from .nonlinearity import _kl_bracket_raw
+from .nonlinearity import _kl_energy_raw
 
 #: Calibration of the nodeless-shift integral, frozen by matching the
 #: Gaussian ground state of the harmonic well to its closed-form profile
@@ -59,6 +59,10 @@ class ShiftResult:
     eta: float
     L: float
     delta_E: float
+    #: Grid points whose density is below the floor, where the bracket sees
+    #: the floor in place of p; next to a node they make the shift at eta = 1
+    #: depend on the floor.
+    floor_points: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.delta_E):
@@ -133,18 +137,19 @@ def resample_state(psi: Wavefunction, fine: Grid) -> Wavefunction:
 def characteristic_length(state: Wavefunction) -> float:
     """sqrt(2 <x^2>) of the probability density; equals sqrt(hbar/m omega)
     for the harmonic ground state centered at the origin."""
+    grid = state.grid
     p = _density_raw(state.values)
-    dx = state.grid.dx
-    x = state.grid.x
-    xc = float(np.sum(dx * x * p) / np.sum(dx * p))
-    var = float(np.sum(dx * (x - xc) ** 2 * p) / np.sum(dx * p))
-    return math.sqrt(2.0 * var)
+    x = grid.x
+    norm = np.float64(integrate(p, grid))  # a zero state divides to nan
+    xc = integrate(x * p, grid) / norm
+    return math.sqrt(2.0 * (integrate((x - xc) ** 2 * p, grid) / norm))
 
 
-def _shift_state_part(state: Wavefunction) -> tuple[np.ndarray, float, float]:
+def _shift_state_part(state: Wavefunction) -> tuple[np.ndarray, float, float, int]:
     """The eta- and L-independent part of delta_E: the read-only density, its
-    floor, and sum (D sqrt p)^2 over every first difference, boundary ones
-    included (periodic: the wrap; dirichlet: the zero ghosts)."""
+    floor, sum (D sqrt p)^2 over every first difference, boundary ones
+    included (periodic: the wrap; dirichlet: the zero ghosts), and the number
+    of points below the floor."""
     p = _density_raw(state.values)
     s = np.sqrt(p)
     d = np.diff(s)
@@ -152,7 +157,9 @@ def _shift_state_part(state: Wavefunction) -> tuple[np.ndarray, float, float]:
         edge = float((s[0] - s[-1]) ** 2)
     else:
         edge = float(s[0] ** 2 + s[-1] ** 2)
-    return _readonly(p), _floor_raw(p), float(np.sum(d * d)) + edge
+    eps = _floor_raw(p)
+    n_low = int(np.count_nonzero(p < eps))
+    return _readonly(p), eps, float(np.sum(d * d)) + edge, n_low
 
 
 def first_order_shift_numeric(
@@ -161,29 +168,32 @@ def first_order_shift_numeric(
     consts: PhysConstants,
     policy: str | None = None,
 ) -> ShiftResult:
-    """delta_E = integral p F(p) dx with the unperturbed density.
+    """delta_E = integral p F(p) dx with the unperturbed density, which is
+    ``integrate(p * F)`` to rounding on both boundaries.
 
-    The quantum-potential part of the expectation is accumulated in first-
-    difference form, - (hbar^2/2m) sum (D sqrt p)^2 dx, which is robust to
-    rough state noise. By summation by parts it equals sum p Q dx, so
-    delta_E is ``integrate(p * F)`` to rounding on both boundaries. The
-    bracket sees the densities clamped at the floor; nodes are not excised.
+    The bracket part, (cal_E/eta^4) dx sum p bracket, comes from
+    ``nonlinearity._kl_energy_raw``, which sums p times the bracket of the
+    densities clamped at the floor without evaluating the bracket: one
+    log1p pass over the grid plus terms at the first and last eta*L/dx
+    points and at the points below the floor, which ``floor_points`` counts.
+    Nodes are not excised. The quantum-potential part is accumulated in
+    first-difference form, - (hbar^2/2m) sum (D sqrt p)^2 dx, which is robust
+    to rough state noise; by summation by parts it equals sum p Q dx.
 
-    The density, its floor and the difference sum depend on the state alone,
-    so they are computed on the first call for a state and reused by later
-    calls at any (eta, L, policy).
+    The density, its floor, the difference sum and the number of sub-floor
+    points depend on the state alone, so they are computed on the first call
+    for a state and reused by later calls at any (eta, L, policy).
     """
     grid = state.grid
     steps = params.shift_steps(grid)
     pol = policy or grid.default_policy()
-    p, eps, dsq = _derived(state, "shift_state_part", _shift_state_part)
-    bracket = _kl_bracket_raw(p, steps, params.eta, pol, eps)
-    t = p * (params.cal_E / params.eta**4)
-    t *= bracket
-    t *= grid.dx
-    kl_part = float(np.sum(t))
+    p, eps, dsq, n_low = _derived(state, "shift_state_part", _shift_state_part)
+    low = np.flatnonzero(p < eps) if n_low else np.empty(0, np.intp)
+    kl = _kl_energy_raw(p, steps, params.eta, pol, eps, low)
+    kl_part = kl * (params.cal_E / params.eta**4) * grid.dx
     qp_part = -(consts.hbar**2 / (2.0 * consts.mass)) * dsq / grid.dx
-    return ShiftResult(eta=params.eta, L=params.L, delta_E=kl_part + qp_part)
+    return ShiftResult(eta=params.eta, L=params.L, delta_E=kl_part + qp_part,
+                       floor_points=n_low)
 
 
 def node_shift_eta_profile(eta: float) -> float:
@@ -251,29 +261,35 @@ def minimize_over_eta(shift_fn) -> tuple[float, float]:
 
     A coarse 64-point pre-scan brackets the global basin first (the
     closed-form profiles are not unimodal over the whole interval), then
-    golden-section contraction localizes the minimizer to 1e-10.
+    golden-section contraction localizes the minimizer to 1e-10. Every
+    value of the objective, the returned one included, must be finite, or
+    NonFiniteObjectiveError is raised.
     """
+
+    def f(eta: float) -> float:
+        value = float(shift_fn(eta))
+        if not math.isfinite(value):
+            raise NonFiniteObjectiveError(
+                f"objective returned {value} at eta = {eta!r}")
+        return value
+
     xs = np.linspace(1e-4, 1.0 - 1e-4, 64)
-    fs = np.array([shift_fn(x) for x in xs])
-    if not np.isfinite(fs).all():
-        raise NonFiniteObjectiveError("objective returned a non-finite value")
+    fs = np.array([f(x) for x in xs])
     j = int(np.argmin(fs))
     a = xs[max(j - 1, 0)]
     b = xs[min(j + 1, xs.size - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = shift_fn(x1), shift_fn(x2)
+    f1, f2 = f(x1), f(x2)
     while b - a > 1e-10:
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            raise NonFiniteObjectiveError("objective returned a non-finite value")
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = shift_fn(x1)
+            f1 = f(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = shift_fn(x2)
+            f2 = f(x2)
     eta_star = float(0.5 * (a + b))
-    return eta_star, float(shift_fn(eta_star))
+    return eta_star, f(eta_star)

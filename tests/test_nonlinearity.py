@@ -20,7 +20,7 @@ from infonls import (
 from infonls import nonlinearity
 from infonls.errors import UnregularizedEtaWarning
 from infonls.grid import Potential, _floor_raw, _shift_raw
-from infonls.nonlinearity import _kl_bracket_raw
+from infonls.nonlinearity import _kl_bracket_raw, _kl_energy_raw
 from conftest import gaussian_density, periodic_grid, skewed_density
 
 
@@ -290,6 +290,71 @@ class TestBracketAccuracy:
             ref = longdouble_bracket(p, steps, eta, policy, eps)
             err = float(np.abs(got - ref).max() / np.abs(ref).max())
             assert err < 1e-12, label
+
+
+def _energy_errors(p, steps, eta, policy):
+    """Errors of _kl_energy_raw and of the float sum of p times the bracket
+    against the np.longdouble sum of p times longdouble_bracket, beyond that
+    sum's own rounding, over the long double sum of |p bracket|.
+
+    The literal form rounds each of its O(|ln p| + 1) pieces, so where the
+    bracket is 0 (a fill equal to p, say) it reads a few long double ulps of
+    p (|ln p| + 1) and not 0; the float forms read 0 there."""
+    eps = _floor_raw(p)
+    with np.errstate(all="ignore"):
+        terms = p.astype(np.longdouble) * longdouble_bracket(p, steps, eta, policy, eps)
+        bracket_sum = float(np.sum(p * _kl_bracket_raw(p, steps, eta, policy, eps)))
+    ref, scale = np.sum(terms), np.sum(np.abs(terms))
+    noise = 8 * np.finfo(np.longdouble).eps * np.sum(p * (np.abs(np.log(np.maximum(p, eps))) + 1))
+    got = _kl_energy_raw(p, steps, eta, policy, eps, np.flatnonzero(p < eps))
+    return tuple(float(max(abs(v - ref) - noise, 0) / scale) if scale else abs(v)
+                 for v in (got, bracket_sum))
+
+
+class TestKLEnergy:
+    """_kl_energy_raw sums p times the bracket without evaluating it."""
+
+    @given(
+        p=degenerate_densities(),
+        data=st.data(),
+        # below 0.01 the long double literal form itself loses digits (1e-10 of
+        # sum |p bracket| at eta = 1e-4); above 0.999 both float forms lose them
+        # next to zeros, as at eta = 1
+        eta=st.floats(min_value=0.01, max_value=0.999),
+        policy=st.sampled_from(["floor", "extrap", "periodic"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_longdouble_sum(self, p, data, eta, policy):
+        steps = data.draw(st.integers(1, p.size - 1)) * data.draw(st.sampled_from([1, -1]))
+        got, _ = _energy_errors(p, steps, eta, policy)
+        assert got <= 1e-13
+
+    @given(
+        p=degenerate_densities(),
+        data=st.data(),
+        policy=st.sampled_from(["floor", "extrap", "periodic"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_eta_one_within_bracket_sum_bound(self, p, data, policy):
+        # at eta = 1 both float forms lose digits next to exact zeros, where
+        # 1 + x = p+/p is about FLOOR_REL; the summed bracket stays within
+        # 1e-4 of sum |p bracket| on these draws, and so does the kernel
+        steps = data.draw(st.integers(1, p.size - 1)) * data.draw(st.sampled_from([1, -1]))
+        got, bracket_sum = _energy_errors(p, steps, 1.0, policy)
+        assert bracket_sum <= 1e-4
+        assert got <= 1e-4
+
+    @pytest.mark.parametrize("policy, level", [
+        (policy, level) for policy in ("floor", "extrap", "periodic") for level in CONSTANT_LEVELS
+        if (policy, level) != ("floor", 0.25)])
+    def test_constant_density_exact_zero(self, policy, level):
+        # a constant p is its own wrap, and its own extrapolation for steps up
+        # to n/2; the all-zero and subnormal levels clamp to the floor fill
+        # (at 0.25 that fill breaks the constant, and the bracket is not 0)
+        p = np.full(64, level)
+        eps = _floor_raw(p)
+        for steps in (1, 5, -5, 32):
+            assert _kl_energy_raw(p, steps, 0.6, policy, eps, np.flatnonzero(p < eps)) == 0.0
 
 
 class TestQuantumPotential:

@@ -152,6 +152,12 @@ class TestClosedFormProfiles:
         with pytest.raises(NonFiniteObjectiveError):
             minimize_over_eta(lambda e: float("nan"))
 
+    def test_minimize_nonfinite_last_value(self):
+        # NaN only within 1e-11 of the minimizer: the contraction ends on it,
+        # and the value returned at eta_star is NaN too
+        with pytest.raises(NonFiniteObjectiveError):
+            minimize_over_eta(lambda e: float("nan") if abs(e - 0.5) < 1e-11 else (e - 0.5) ** 2)
+
 
 def sho_excited_resampled(consts, dx_fine, window_rel=3e-11):
     """Coarse SHO solve, quintic resample of state n=1 onto the fine spacing.
@@ -209,6 +215,48 @@ class TestFirstOrderShift:
             num = shifts[e1] / shifts[e2]
             ref = node_shift_eta_profile(e1) / node_shift_eta_profile(e2)
             assert num == pytest.approx(ref, rel=0.05)
+
+    def test_allocation_budget(self, consts):
+        # a node state at 131073 points, its node below the floor: the clamped
+        # density, the ratios and their log1p, 3.03 real arrays of N against
+        # 4.0 when the bracket was evaluated
+        n = 131073
+        g = Grid(x_min=-5.0, dx=10.0 / (n - 1), n_points=n, boundary="dirichlet")
+        psi = normalize(Wavefunction(g, (g.x * np.exp(-g.x**2 / 2)).astype(complex)))
+        params = NonlinearParams.for_length(800 * g.dx / 0.6, 0.6, consts)
+        assert first_order_shift_numeric(psi, params, consts).floor_points == 1
+        peak = traced_peak(lambda: first_order_shift_numeric(psi, params, consts))
+        assert peak < 3.5 * 8 * n
+
+
+class TestFloorPoints:
+    """ShiftResult.floor_points counts the points whose density is below the
+    floor, where the bracket sees the floor in place of p."""
+
+    @staticmethod
+    def _floor_points(psi, eta, steps, consts):
+        params = NonlinearParams.for_length(steps * psi.grid.dx / eta, eta, consts)
+        return first_order_shift_numeric(psi, params, consts).floor_points
+
+    @pytest.mark.parametrize("n", (601, 2401))
+    @pytest.mark.parametrize("node", (False, True))
+    def test_gaussian_and_node(self, consts, node, n):
+        # the dirichlet states of TestShiftQuadrature; the node state has a
+        # grid point, an exact zero, at x = 0
+        g = Grid(x_min=-3.0, dx=6.0 / (n - 1), n_points=n, boundary="dirichlet")
+        vals = np.exp(-g.x**2 / 2) * (g.x if node else 1.0)
+        psi = normalize(Wavefunction(g, vals.astype(complex)))
+        count = self._floor_points(psi, 0.6, 5, consts)
+        assert count >= 1 if node else count == 0
+
+    @pytest.mark.parametrize("n", (1601, 4001))
+    def test_resampled_node_at_eta_one(self, consts, n):
+        # harmonic state 1 of scripts/array_digests.py at eta = 1 and 7 steps,
+        # whose shift depends on the floor next to its node
+        coarse = Grid(x_min=-8.0, dx=16.0 / 401, n_points=400, boundary="dirichlet")
+        psi = solve_linear_spectrum(harmonic_potential(coarse, consts), coarse, consts, 2).states[1]
+        fine = Grid(x_min=-6.0, dx=12.0 / (n - 1), n_points=n, boundary="dirichlet")
+        assert self._floor_points(resample_state(psi, fine), 1.0, 7, consts) > 0
 
 
 def longdouble_shift(psi, params, consts, eps):
