@@ -325,7 +325,8 @@ def spectra_outputs(consts):
     resampling and the nodeless integral."""
     for name, psi, _, _ in states(consts):
         yield from _shifts(name, psi, consts)
-        yield f"{name} characteristic_length", np.array(characteristic_length(psi))
+        yield f"{name} characteristic_length", _outcome(
+            lambda: np.array(characteristic_length(psi)))
     coarse = Grid(x_min=-8.0, dx=16.0 / 401, n_points=400, boundary="dirichlet")
     sol = solve_linear_spectrum(harmonic_potential(coarse, consts), coarse, consts, 3)
     yield "harmonic solve_linear_spectrum energies", sol.energies

@@ -1,7 +1,8 @@
 """Real-time propagation with external potential and the nonlinear term.
 
-Explicit RK4 on the full right side; the nonlinearity is recomputed at every
-substage from the substage density. The step limit dt_max = 0.5 m dx^2 / hbar
+Explicit RK4 on -(i/hbar) H(p) psi, H(p) = -(hbar^2/2m) d^2/dx^2 + V + F(p),
+with F recomputed at every substage; the energy dx Re<psi, H(p) psi> reads
+the same H psi. The step limit dt_max = 0.5 m dx^2 / hbar
 is the usual explicit-scheme bound for the free operator; RK4's imaginary-axis
 stability then covers the kinetic spectrum with margin.
 
@@ -26,7 +27,8 @@ from .grid import (
     Potential,
     Wavefunction,
     _density_raw,
-    _laplacian_raw,
+    _hamiltonian_raw,
+    integrate,
 )
 from .nonlinearity import _field_raw
 
@@ -76,33 +78,21 @@ def _make_rhs(
     mask = V.singular_mask
     pinned = np.flatnonzero(mask)
     v_ext = np.where(mask, 0.0, V.values)
-    kin = -consts.hbar**2 / (2.0 * consts.mass)
     minus_i_over_hbar = -1j / consts.hbar
     steps = params.shift_steps(grid) if params is not None else 0
-    dx, boundary = grid.dx, grid.boundary
-    wv = dx * v_ext
 
     def rhs(psi: np.ndarray, diagnose: bool = False):
         """The right side at psi; with ``diagnose``, also psi's squared norm
-        and energy, read from the same Laplacian, density and field."""
-        kin_psi = _laplacian_raw(psi, dx, boundary)
-        np.multiply(kin, kin_psi, out=kin_psi)
-        h_psi = v_ext * psi
-        h_psi += kin_psi
+        and energy dx Re<psi, H(p) psi>, read from the same H psi."""
         if params is not None or diagnose:
             p = _density_raw(psi)
-        if params is not None:
-            f = _field_raw(p, grid, params, consts, policy, steps)
-            h_psi += f * psi
+        u = v_ext if params is None else v_ext + _field_raw(p, grid, params, consts, policy, steps)
+        h_psi = _hamiltonian_raw(psi, u, grid, consts)
+        if diagnose:
+            diag = integrate(p, grid), integrate((np.conj(psi) * h_psi).real, grid)
         out = np.multiply(minus_i_over_hbar, h_psi, out=h_psi)
         out[pinned] = 0.0
-        if not diagnose:
-            return out
-        wp = dx * p
-        e = np.sum(dx * (np.conj(psi) * kin_psi).real) + np.sum(wv * p)
-        if params is not None:
-            e += np.sum(wp * f)
-        return out, float(np.sum(wp)), float(e)
+        return (out, *diag) if diagnose else out
 
     return rhs
 
@@ -176,9 +166,10 @@ def evolve(
 
     The norm is sum dx |psi|^2, which the semi-discrete flow conserves on
     both boundaries (pinned points hold psi = 0), so only RK4 drifts. The
-    energy trace is <psi|H_lin|psi> + integral p F; it is reported as a
-    diagnostic, with no exact-invariance claim attached. Each entry is read
-    from the first RK4 stage at that state, which the next step needs anyway.
+    energy trace, dx Re<psi, H(p) psi> = <psi|T + V|psi> + W[p] (F is the
+    grid gradient of a 1-homogeneous W), is a diagnostic with no
+    exact-invariance claim. Each entry is read from the H psi of the first
+    RK4 stage at that state, which the next step needs anyway.
     Aborts with NonFiniteEvolutionError (carrying the partial report) if
     amplitudes stop being finite.
     """

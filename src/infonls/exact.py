@@ -38,7 +38,7 @@ from .grid import (
     Wavefunction,
     _density_raw,
     _floor_raw,
-    _laplacian_raw,
+    _hamiltonian_raw,
     _normalized,
     _positive,
 )
@@ -163,15 +163,8 @@ def _stationary_defect(
     if excl.all():
         raise AllPointsExcludedError("no grid points left after exclusions")
     scale = abs(E) * float(np.abs(v).max())
-    # -(hbar^2/2m) psi'' + U psi - E psi in that order, in the Laplacian's
-    # array, with one temporary for the two products, freed before |defect|
-    defect = _laplacian_raw(v, grid.dx, grid.boundary)
-    defect *= -(consts.hbar**2 / (2.0 * consts.mass))
-    product = np.multiply(U, v)
-    defect += product
-    np.multiply(E, v, out=product)
-    defect -= product
-    del product
+    defect = _hamiltonian_raw(v, U, grid, consts)
+    defect -= E * v
     return float(np.abs(defect)[~excl].max()) / scale, float(excl.mean())
 
 

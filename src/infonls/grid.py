@@ -12,7 +12,8 @@ There is one density rule, ``_density_raw`` (|psi|^2 as ``re**2``, then
 ``normalize`` and the real states of ``spectra`` and ``exact`` share.
 There is one quadrature rule, ``integrate``: the trapezoid over the grid's
 domain, which weights every point by dx on both boundaries (the dirichlet
-walls, where psi = 0, sit one step outside the end points).
+walls, where psi = 0, sit one step outside the end points). There is one
+Hamiltonian apply, ``_hamiltonian_raw``: -(hbar^2/2m) psi'' + u psi, u real.
 """
 
 from __future__ import annotations
@@ -251,6 +252,14 @@ def density(psi: Wavefunction) -> Density:
     return Density(psi.grid, _density_raw(psi.values))
 
 
+def _norm_squared_raw(p: np.ndarray, grid: Grid) -> float:
+    """The squared norm integrate(p) of a density p; below 1e-300 it raises ZeroNormError."""
+    n2 = integrate(p, grid)
+    if n2 < 1e-300:
+        raise ZeroNormError(f"squared norm {n2} too small to normalize")
+    return n2
+
+
 def _normalized(grid: Grid, v: np.ndarray) -> Wavefunction:
     """The one normalization rule: v over its trapezoidal norm, the root of
     sum dx |v|^2, as a Wavefunction. A complex v is divided into a new
@@ -258,10 +267,7 @@ def _normalized(grid: Grid, v: np.ndarray) -> Wavefunction:
     part of numpy's complex division by a real scalar, (re + 0.0) * (1 /
     norm), which turns -0.0 into +0.0, and converted to complex once: the
     same bits, from one complex array instead of three."""
-    n2 = integrate(_density_raw(v), grid)
-    if n2 < 1e-300:
-        raise ZeroNormError(f"squared norm {n2} too small to normalize")
-    norm = np.sqrt(n2)
+    norm = np.sqrt(_norm_squared_raw(_density_raw(v), grid))
     if v.dtype.kind == "c":
         return Wavefunction(grid, v / norm)
     v += 0.0
@@ -352,6 +358,14 @@ def _laplacian_raw(v: np.ndarray, dx: float, boundary: str) -> np.ndarray:
     else:
         out /= dx * dx
     return out
+
+
+def _hamiltonian_raw(v: np.ndarray, u: np.ndarray, grid: Grid, consts: PhysConstants):
+    """-(hbar^2/2m) v'' + u v, u real: the Laplacian's array times -hbar^2/2m, += u v."""
+    h = _laplacian_raw(v, grid.dx, grid.boundary)
+    h *= -consts.hbar**2 / (2.0 * consts.mass)
+    h += u * v
+    return h
 
 
 def laplacian(psi: Wavefunction) -> Wavefunction:

@@ -31,6 +31,7 @@ from .grid import (
     Wavefunction,
     _density_raw,
     _floor_raw,
+    _norm_squared_raw,
     _normalized,
     _positive,
     _readonly,
@@ -135,12 +136,12 @@ def resample_state(psi: Wavefunction, fine: Grid) -> Wavefunction:
 
 
 def characteristic_length(state: Wavefunction) -> float:
-    """sqrt(2 <x^2>) of the probability density; equals sqrt(hbar/m omega)
-    for the harmonic ground state centered at the origin."""
+    """sqrt(2 <x^2>) of the probability density (ZeroNormError as in ``normalize``);
+    equals sqrt(hbar/m omega) for the harmonic ground state centered at the origin."""
     grid = state.grid
     p = _density_raw(state.values)
     x = grid.x
-    norm = np.float64(integrate(p, grid))  # a zero state divides to nan
+    norm = _norm_squared_raw(p, grid)
     xc = integrate(x * p, grid) / norm
     return math.sqrt(2.0 * (integrate((x - xc) ** 2 * p, grid) / norm))
 

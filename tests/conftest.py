@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from infonls import Density, Grid, PhysConstants, Wavefunction, normalize
+from infonls.grid import integrate
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def gaussian_density(grid, sigma=1.0, center=None):
     default so periodic wraps stay smooth."""
     c = _mid(grid) if center is None else center
     p = np.exp(-((grid.x - c) ** 2) / sigma**2)
-    return Density(grid, p / np.sum(p * grid.quad_weights()))
+    return Density(grid, p / integrate(p, grid))
 
 
 def gaussian_state(grid, sigma=1.0, center=None, k=0.0):
@@ -47,7 +48,7 @@ def skewed_density(grid):
     width = grid.n_points * grid.dx
     u = 2.0 * np.pi * (grid.x - grid.x_min) / width
     p = 1.0 + 0.5 * np.sin(u) + 0.2 * np.cos(2 * u)
-    return Density(grid, p / np.sum(p * grid.quad_weights()))
+    return Density(grid, p / integrate(p, grid))
 
 
 def traced_peak(fn) -> int:

@@ -58,7 +58,7 @@ class TestKLShifted:
         for mode in (1, 2, 3):
             p += rng.uniform(-0.2, 0.2) * np.sin(mode * u) + rng.uniform(-0.2, 0.2) * np.cos(mode * u)
         p = np.maximum(p, 0.05)
-        dens = Density(g, p / np.sum(p * g.quad_weights()))
+        dens = Density(g, p / integrate(p, g))
         steps = rng.integers(1, 128)
         val = kl_divergence_shifted(dens, steps * g.dx).value
         assert val >= -1e-10

@@ -19,7 +19,7 @@ from infonls import (
 )
 from infonls import nonlinearity
 from infonls.errors import UnregularizedEtaWarning
-from infonls.grid import Potential, _floor_raw, _shift_raw
+from infonls.grid import Potential, _floor_raw, _shift_raw, integrate
 from infonls.nonlinearity import _kl_bracket_raw, _kl_energy_raw
 from conftest import gaussian_density, periodic_grid, skewed_density
 
@@ -123,7 +123,7 @@ class TestRegularizedKLTerm:
         alpha = np.sin(2 * np.pi * (k % steps) / steps)
         alpha[(2 * (k % steps)) % steps == 0] = 0.0
         p = np.exp(-2 * kappa * g.x) * alpha**2
-        dens = Density(g, p / np.sum(p * g.quad_weights()))
+        dens = Density(g, p / integrate(p, g))
         params = make_params(L, eta)
         field = regularized_kl_term(dens, params, policy="extrap")
         gamma = np.exp(-2 * kappa * eta * L)

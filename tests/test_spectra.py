@@ -24,7 +24,9 @@ from infonls import (
     nodeless_shift_integral,
     nonlinear_term_F,
     normalize,
+    quartic_potential,
     resample_state,
+    rhs_apply,
     sho_ground_shift_closed,
     solve_linear_spectrum,
     zero_potential,
@@ -33,6 +35,7 @@ from infonls.errors import (
     NodeDetectedError,
     NonFiniteObjectiveError,
     ParameterDomainError,
+    ZeroNormError,
 )
 from infonls.config import parse_config
 from infonls.grid import _floor_raw, integrate
@@ -91,6 +94,23 @@ class TestLinearSpectrum:
                     (np.conj(sol.states[i].values) * sol.states[j].values).real, g
                 )
                 assert abs(overlap) < 1e-8
+
+    @pytest.mark.parametrize("well", ["harmonic", "quartic"])
+    @pytest.mark.parametrize("n", [400, 1000, 4096])
+    def test_eigenpairs_satisfy_the_apply(self, consts, well, n):
+        # the eigensolver's tridiagonal and the right side's H are one
+        # operator: i hbar rhs_apply(psi) = E psi for the 8 lowest eigenpairs,
+        # to rounding in units of H's norm bound 4t + max|V| (measured at
+        # most 1.4e-14 of it, on the 4096-point harmonic well)
+        g = Grid(x_min=-8.0, dx=16.0 / (n + 1), n_points=n, boundary="dirichlet")
+        V = harmonic_potential(g, consts) if well == "harmonic" else quartic_potential(g)
+        sol = solve_linear_spectrum(V, g, consts, 8)
+        t = consts.hbar**2 / (2.0 * consts.mass * g.dx**2)
+        scale = 4.0 * t + np.abs(V.values).max()
+        for e, psi in zip(sol.energies, sol.states):
+            h_psi = 1j * consts.hbar * rhs_apply(psi, V, None, consts).values
+            defect = np.abs(h_psi - e * psi.values).max()
+            assert defect <= 1e-12 * scale * np.abs(psi.values).max()
 
     def test_zero_states_rejected(self, consts):
         g = Grid(x_min=-5.0, dx=10.0 / 65, n_points=64, boundary="dirichlet")
@@ -539,3 +559,14 @@ class TestCharacteristicLength:
         g = Grid(x_min=-10.0, dx=20.0 / (n + 1), n_points=n, boundary="dirichlet")
         sol = solve_linear_spectrum(harmonic_potential(g, consts), g, consts, 1)
         assert characteristic_length(sol.states[0]) == pytest.approx(1.0, rel=1e-4)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-156])
+    def test_zero_state_refused(self, amplitude):
+        # by normalize's rule, a squared norm below 1e-300; the division
+        # used to return nan for an all-zero state
+        g = Grid(x_min=0.0, dx=0.01, n_points=256, boundary="dirichlet")
+        psi = Wavefunction(g, np.full(g.n_points, amplitude, dtype=complex))
+        with pytest.raises(ZeroNormError, match="squared norm"):
+            characteristic_length(psi)
+        with pytest.raises(ZeroNormError, match="squared norm"):
+            normalize(psi)
