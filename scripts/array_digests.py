@@ -2,7 +2,8 @@
 """Print the sha256 of every field-kernel, exact-state, measures and spectra
 output over a fixed set of states, policies and shifts, one line per array.
 
-The kernels are the shift, the regulated bracket, the quantum potential, the
+The kernels are the shift, the regulated bracket (at the bracket's own
+shifts and at every shift of the shift lines), the quantum potential, the
 full field F, the KL term (the public ones as a Potential's values and
 singular mask), the Laplacian, ``rhs_apply``, ``rk4_step`` (both signs of dt)
 and every array of an ``evolve`` report, with and without F. The exact-state
@@ -209,13 +210,19 @@ def arrays(consts):
         yield from _potential(f"{name} quantum_potential_term",
                               lambda: quantum_potential_term(Density(grid, p), consts))
         yield from dynamics(f"{name} linear", psi, V, None, consts, grid.default_policy(), dt)
+        shifts = sorted({steps, -steps, 1, -1, n - 1, 1 - n, n // 2 + 3, -(n // 2 + 3)})
         for pol in POLICIES:
-            for s in sorted({steps, -steps, 1, -1, n - 1, 1 - n, n // 2 + 3, -(n // 2 + 3)}):
+            for s in shifts:
                 yield f"{name} {pol} shift[{s}]", _shift_raw(p, s, pol, eps)
             for eta in (params.eta, *EXTRA_ETAS):
                 for s in (steps, -steps):
                     yield (f"{name} {pol} bracket[eta={eta!r},{s}]",
                            _kl_bracket_raw(p, s, eta, pol, eps))
+            # the shifts' edges and the periodic wrap at every length
+            for s in shifts:
+                if abs(s) != steps:
+                    yield (f"{name} {pol} bracket[eta={params.eta!r},{s}]",
+                           _kl_bracket_raw(p, s, params.eta, pol, eps))
             yield (f"{name} {pol} KL",
                    regularized_kl_term(Density(grid, p), params, pol).values)
             yield f"{name} {pol} F", _field_raw(p, grid, params, consts, pol, steps)

@@ -86,7 +86,11 @@ def _make_rhs(
         and energy dx Re<psi, H(p) psi>, read from the same H psi."""
         if params is not None or diagnose:
             p = _density_raw(psi)
-        u = v_ext if params is None else v_ext + _field_raw(p, grid, params, consts, policy, steps)
+        if params is None:
+            u = v_ext
+        else:
+            u = _field_raw(p, grid, params, consts, policy, steps)
+            u += v_ext
         h_psi = _hamiltonian_raw(psi, u, grid, consts)
         if diagnose:
             diag = integrate(p, grid), integrate((np.conj(psi) * h_psi).real, grid)

@@ -13,7 +13,11 @@ There is one density rule, ``_density_raw`` (|psi|^2 as ``re**2``, then
 There is one quadrature rule, ``integrate``: the trapezoid over the grid's
 domain, which weights every point by dx on both boundaries (the dirichlet
 walls, where psi = 0, sit one step outside the end points). There is one
-Hamiltonian apply, ``_hamiltonian_raw``: -(hbar^2/2m) psi'' + u psi, u real.
+second-difference stencil, ``_second_difference_raw``, which takes its
+factor: the Hamiltonian apply, ``_hamiltonian_raw`` (-(hbar^2/2m) psi'' +
+u psi, u real), scales it once by -hbar^2/(2m dx^2) and the quantum
+potential once by hbar^2/(2m dx^2), while ``laplacian`` and the measures'
+error estimate scale it by 1/dx^2.
 """
 
 from __future__ import annotations
@@ -337,7 +341,14 @@ def shift_density(p: Density, steps: int, policy: str | None = None) -> Density:
     return Density(p.grid, _shift_raw(p.values, steps, policy, p.floor()))
 
 
-def _laplacian_raw(v: np.ndarray, dx: float, boundary: str) -> np.ndarray:
+def _second_difference_raw(
+    v: np.ndarray, boundary: str, factor: float | None = None
+) -> np.ndarray:
+    """The one stencil, v[k+1] - 2 v[k] + v[k-1] (zero ghost values on a
+    dirichlet grid, wrapped on a periodic one), times ``factor`` if given.
+    The factor multiplies the float64 view: numpy multiplies a complex array
+    by a real scalar through a slower complex loop, which also turns some
+    -0.0 into +0.0."""
     out = np.empty_like(v)
     mid = out[1:-1]
     np.multiply(2.0, v[1:-1], out=mid)
@@ -349,21 +360,29 @@ def _laplacian_raw(v: np.ndarray, dx: float, boundary: str) -> np.ndarray:
     else:  # dirichlet: ghost values are zero
         out[0] = v[1] - 2.0 * v[0]
         out[-1] = v[-2] - 2.0 * v[-1]
-    if out.dtype.kind == "c":
-        # numpy divides a complex array by a real scalar as this multiply by
-        # the reciprocal, through a slower complex loop: the same bits on
-        # finite parts, except that the division turns some -0.0 into +0.0
+    if factor is not None:
         re_im = out.view(np.float64)
-        re_im *= 1.0 / (dx * dx)
-    else:
-        out /= dx * dx
+        re_im *= factor
+    return out
+
+
+def _laplacian_raw(v: np.ndarray, dx: float, boundary: str) -> np.ndarray:
+    """v'': the stencil over dx^2. A real v is divided by dx^2; a complex v
+    is multiplied by 1/dx^2, which is how numpy divides a complex array by a
+    real scalar: the same bits on finite parts, except that the division
+    turns some -0.0 into +0.0."""
+    if v.dtype.kind == "c":
+        return _second_difference_raw(v, boundary, 1.0 / (dx * dx))
+    out = _second_difference_raw(v, boundary)
+    out /= dx * dx
     return out
 
 
 def _hamiltonian_raw(v: np.ndarray, u: np.ndarray, grid: Grid, consts: PhysConstants):
-    """-(hbar^2/2m) v'' + u v, u real: the Laplacian's array times -hbar^2/2m, += u v."""
-    h = _laplacian_raw(v, grid.dx, grid.boundary)
-    h *= -consts.hbar**2 / (2.0 * consts.mass)
+    """-(hbar^2/2m) v'' + u v, u real: the stencil scaled once by
+    -hbar^2/(2m dx^2), += u v."""
+    dx = grid.dx
+    h = _second_difference_raw(v, grid.boundary, -consts.hbar**2 / (2.0 * consts.mass * dx * dx))
     h += u * v
     return h
 

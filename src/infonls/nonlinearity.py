@@ -19,13 +19,19 @@ its denominator: its second derivative acts on the raw sqrt(p), since
 flooring it there would break the exact discrete cancellation against the
 kinetic term for real states, which the half-line solutions rely on.
 
-The bracket runs its ~20 elementwise passes block by block on grids longer
-than ``_BLOCK`` points. Over a whole 131k-point grid each pass allocates a
-1 MiB temporary; the allocator hands that memory back to the system after
-each call and the next call faults it in again (about 2000 minor page faults
-per F call, measured with getrusage), and the passes stream through memory.
-A block's temporaries are reused within the call and stay in cache. The bits
-are those of one pass over the whole array.
+The bracket copies p and its two edge fills into one padded array and clamps
+it once; p and both shifts are views of it, so no shifted copy of p is made.
+Its 17 elementwise passes (4 for the two ratios, 13 for the log1p form) run
+block by block on grids longer than ``_BLOCK`` points. Over a whole
+131k-point grid each pass allocates a 1 MiB temporary; the allocator hands
+that memory back to the system after each call and the next call faults it
+in again (about 2000 minor page faults per F call, measured with getrusage),
+and the passes stream through memory. A block's three temporaries are reused
+within the call and stay in cache, and each block is written into the one
+output array. The bits are those of one pass over the whole array.
+
+The quantum potential scales the second-difference stencil once, by
+hbar^2/(2m dx^2), as the Hamiltonian apply scales it by -hbar^2/(2m dx^2).
 """
 
 from __future__ import annotations
@@ -45,8 +51,7 @@ from .grid import (
     _check_steps,
     _edge_fill,
     _floor_raw,
-    _laplacian_raw,
-    _shift_raw,
+    _second_difference_raw,
 )
 
 
@@ -64,71 +69,78 @@ def _kl_bracket_raw(
     """The regulated bracket of p and its shifts p(x +- steps*dx), edges per
     ``policy``; dimensionless, without the cal_E/eta^4 prefactor.
 
-    The shifts are built over the whole array and belong to the call, so
-    each block clamps its slices of them in place. The bracket itself is
-    elementwise, so it is evaluated block by block: a grid of up to
-    ``_BLOCK`` points is one block, a longer one is cut into
-    ceil(n/_BLOCK) slices of equal length (to one point), each written into
-    one output array. Every point sees the same operations in the same
-    order, so the bits do not depend on the blocking.
+    One array of n + 2h points holds the left fill, p and the right fill
+    (``_edge_fill``'s samples, or the periodic wrap), clamped at the floor
+    once; the clamped p and both clamped shifts are views of it (h = |steps|,
+    the two shifts swapped for steps < 0; h = steps mod n when periodic).
+    The bracket itself is elementwise, so it is evaluated block by block
+    into one output array: a grid of up to ``_BLOCK`` points is one block, a
+    longer one is cut into ceil(n/_BLOCK) slices of equal length (to one
+    point). Every point sees the same operations in the same order, so the
+    bits do not depend on the blocking.
     """
     n = p.size
-    if n <= _BLOCK:
-        # the shifts are passed, not held: the body clamps them in place and
-        # reuses their memory for the density ratios
-        return _bracket_block(p, _shift_raw(p, +steps, policy, eps),
-                              _shift_raw(p, -steps, policy, eps), eta, eps)
-    pp = _shift_raw(p, +steps, policy, eps)
-    pm = _shift_raw(p, -steps, policy, eps)
+    periodic = policy == "periodic"
+    if periodic:
+        h = steps % n
+    else:
+        _check_policy(policy)
+        _check_steps(steps, n)
+        h = abs(steps)
+    padded = np.empty(n + 2 * h)
+    padded[h: h + n] = p
+    if periodic:
+        padded[:h] = p[n - h:]
+        padded[h + n:] = p[:h]
+    else:
+        _edge_fill(p, -h, policy, eps, padded[:h])
+        _edge_fill(p, h, policy, eps, padded[h + n:])
+    np.maximum(padded, eps, out=padded)
+    fp, ahead, behind = padded[h: h + n], padded[2 * h:], padded[:n]
+    fpp, fpm = (behind, ahead) if steps < 0 and not periodic else (ahead, behind)
     out = np.empty(n)
     blocks = -(-n // _BLOCK)
     edges = [k * n // blocks for k in range(blocks + 1)]
     for a, b in zip(edges[:-1], edges[1:]):
-        _bracket_block(p[a:b], pp[a:b], pm[a:b], eta, eps, out=out[a:b])
+        _bracket_block(fp[a:b], fpp[a:b], fpm[a:b], eta, out[a:b])
     return out
 
 
 def _bracket_block(
-    p: np.ndarray,
-    pp: np.ndarray,
-    pm: np.ndarray,
-    eta: float,
-    eps: float,
-    out: np.ndarray | None = None,
+    fp: np.ndarray, fpp: np.ndarray, fpm: np.ndarray, eta: float, out: np.ndarray
 ) -> np.ndarray:
-    """The bracket of one block, into ``out`` (a new array if None).
+    """The bracket of one block of the clamped densities, into ``out``.
 
-    The three densities enter clamped at the floor, max(., eps): ``pp`` and
-    ``pm`` in place, where they become the ratios r+- = (p+- - p)/p of the
-    clamped densities. One log1p form in those ratios runs at every point; it
-    keeps absolute rounding at the size of the bracket itself, which matters
-    because the prefactor cal_E/eta^4 can exceed 1e9. Each factor of the
-    denominator is a clamped density over the clamped p, at least about
-    FLOOR_REL, so it never vanishes.
+    The block reads fp, fp+ and fp- (clamped at the floor, max(., eps), by
+    the caller) and forms the ratios r+- = (fp+- - fp)/fp in its own
+    temporaries. One log1p form in those ratios runs at every point, with
+    a = eta r+:
+
+        bracket = t/den - log1p(a),
+        t = ((1 - 2 eta) r- + (1 - eta)) a - eta^2 r-,
+        den = (a + 1)((1 - eta) r- + 1).
+
+    It keeps absolute rounding at the size of the bracket itself, which
+    matters because the prefactor cal_E/eta^4 can exceed 1e9. Each factor
+    of the denominator is a clamped density over the clamped p, at least
+    about FLOOR_REL, so it never vanishes.
     """
-    fp = np.maximum(p, eps)
-    rp = np.maximum(pp, eps, out=pp)
-    rp -= fp
+    rp = np.subtract(fpp, fp)
     rp /= fp
-    rm = np.maximum(pm, eps, out=pm)
-    rm -= fp
+    rm = np.subtract(fpm, fp)
     rm /= fp
-    erp = eta * rp
-    # num = (1-eta) rp - eta rm + (1-2eta) rp rm
-    out = np.multiply(1.0 - eta, rp, out=out)
-    out -= eta * rm
-    t = (1.0 - 2.0 * eta) * rp
-    t *= rm
-    out += t
-    # den = (1 + eta rp)(1 + (1-eta) rm)
-    den = erp + 1.0
-    t = (1.0 - eta) * rm
-    t += 1.0
-    den *= t
-    # out = eta num / den - log1p(eta rp)
-    out *= eta
+    a = np.multiply(eta, rp, out=rp)
+    np.multiply(1.0 - 2.0 * eta, rm, out=out)
+    out += 1.0 - eta
+    out *= a
+    den = np.multiply(eta * eta, rm)
+    out -= den
+    np.multiply(1.0 - eta, rm, out=rm)
+    rm += 1.0
+    np.add(a, 1.0, out=den)
+    den *= rm
     out /= den
-    out -= np.log1p(erp, out=erp)
+    out -= np.log1p(a, out=a)
     return out
 
 
@@ -136,8 +148,7 @@ def _quantum_potential_raw(
     p: np.ndarray, dx: float, boundary: str, eps: float, consts: PhysConstants
 ) -> np.ndarray:
     s = np.sqrt(p)
-    d2s = _laplacian_raw(s, dx, boundary)
-    d2s *= consts.hbar**2 / (2.0 * consts.mass)
+    d2s = _second_difference_raw(s, boundary, consts.hbar**2 / (2.0 * consts.mass * dx * dx))
     d2s /= np.maximum(s, np.sqrt(eps), out=s)
     return d2s
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,15 +230,42 @@ class TestEvolve:
         reversal = np.abs(back.values - psi.values).max()
         assert reversal <= 10.0 * local + 1e-14
 
-    def test_nonfinite_aborts_with_partial_report(self, consts):
+    @staticmethod
+    def _abort(params, consts):
+        """The report and message of an evolve whose amplitudes overflow:
+        with V = 1e6 each RK4 step multiplies psi by about 2e11. A numpy
+        warning is an error here, whatever the suite's filters."""
         g = periodic_grid(width=10.0, n=128)
-        psi = gaussian_state(g)
-        V = Potential(g, np.full(128, 1e160))  # overflows within a few steps
-        with pytest.raises(NonFiniteEvolutionError) as exc_info:
-            evolve(psi, V, None, consts, 0.5 * dt_max(g, consts), 50)
-        report = exc_info.value.report
-        assert report is not None
-        assert len(report.times) >= 1
+        dt = 0.5 * dt_max(g, consts)
+        V = Potential(g, np.full(128, 1e6))
+        with warnings.catch_warnings(), pytest.raises(NonFiniteEvolutionError) as exc_info:
+            warnings.simplefilter("error")
+            evolve(gaussian_state(g), V, params, consts, dt, 50)
+        return exc_info.value.report, str(exc_info.value), dt
+
+    @staticmethod
+    def _assert_steps_before(report, message, step, dt):
+        assert message == f"non-finite amplitudes after step {step}"
+        assert np.array_equal(report.times, dt * np.arange(step))
+        assert len(report.norm_drift) == len(report.energy_trace) == step
+        assert np.isfinite(report.final_state.values).all()
+
+    def test_nonfinite_aborts_with_partial_report(self, consts):
+        # psi reaches 4e304 after step 26 and overflows in step 27; the
+        # energy and the norm overflow earlier, and the report keeps them
+        report, message, dt = self._abort(None, consts)
+        self._assert_steps_before(report, message, 27, dt)
+        assert np.abs(report.final_state.values).max() > 1e304
+        assert np.isinf(report.energy_trace[-1]) and np.isinf(report.norm_drift[-1])
+
+    def test_nonfinite_abort_with_field(self, consts):
+        # with F on, |psi|^2 overflows before psi does: the bracket and Q run
+        # on infinite densities under evolve's errstate, raise no numpy
+        # warning, and turn psi non-finite in step 14
+        params = make_params(4 * 10.0 / 128 / 0.5, 0.5, consts)
+        report, message, dt = self._abort(params, consts)
+        self._assert_steps_before(report, message, 14, dt)
+        assert np.isfinite(report.energy_trace).all()
 
     def test_linear_limit_endpoint_difference(self, consts):
         # F on vs off: endpoint difference shrinks ~linearly with L

@@ -20,8 +20,8 @@ from infonls import (
 from infonls import nonlinearity
 from infonls.errors import UnregularizedEtaWarning
 from infonls.grid import Potential, _floor_raw, _shift_raw, integrate
-from infonls.nonlinearity import _kl_bracket_raw, _kl_energy_raw
-from conftest import gaussian_density, periodic_grid, skewed_density
+from infonls.nonlinearity import _field_raw, _kl_bracket_raw, _kl_energy_raw
+from conftest import gaussian_density, periodic_grid, skewed_density, traced_peak
 
 
 def make_params(L, eta):
@@ -34,9 +34,10 @@ def reference_bracket(p, steps, eta, policy, eps):
     fp = np.maximum(p, eps)
     rp = (np.maximum(_shift_raw(p, +steps, policy, eps), eps) - fp) / fp
     rm = (np.maximum(_shift_raw(p, -steps, policy, eps), eps) - fp) / fp
-    num = (1.0 - eta) * rp - eta * rm + (1.0 - 2.0 * eta) * rp * rm
-    den = (1.0 + eta * rp) * (1.0 + (1.0 - eta) * rm)
-    return -np.log1p(eta * rp) + eta * num / den
+    a = eta * rp
+    t = ((1.0 - 2.0 * eta) * rm + (1.0 - eta)) * a - (eta * eta) * rm
+    den = (a + 1.0) * ((1.0 - eta) * rm + 1.0)
+    return t / den - np.log1p(a)
 
 
 def longdouble_bracket(p, steps, eta, policy, eps):
@@ -50,6 +51,25 @@ def longdouble_bracket(p, steps, eta, policy, eps):
     d_plus = (1 - e) * fp + e * pp
     d_minus = (1 - e) * pm + e * fp
     return np.log(fp) - np.log(d_plus) + 1 - (1 - e) * fp / d_plus - e * pm / d_minus
+
+
+def longdouble_log1p_bracket(p, steps, eta, policy, eps):
+    """Accuracy oracle for small eta: the bracket of the clamped densities in
+    np.longdouble, in the log1p form eta num/den - log1p(eta r+) with
+    r+- = (p+- - p)/p, num = (1-eta) r+ - eta r- + (1-2eta) r+ r- and
+    den = (1 + eta r+)(1 + (1-eta) r-). The bracket is O(eta^2) while its
+    two terms are O(eta), so this form loses about 1/eta of its digits
+    where the literal form loses 1/eta^2: at eta = 1e-4 the two differ by
+    8e-7 of max|bracket| on _oracle_states."""
+    ld = np.longdouble
+    fp, pp, pm = (np.maximum(q, eps).astype(ld) for q in
+                  (p, _shift_raw(p, +steps, policy, eps), _shift_raw(p, -steps, policy, eps)))
+    e = ld(eta)
+    rp = (pp - fp) / fp
+    rm = (pm - fp) / fp
+    num = (1 - e) * rp - e * rm + (1 - 2 * e) * rp * rm
+    den = (1 + e * rp) * (1 + (1 - e) * rm)
+    return e * num / den - np.log1p(e * rp)
 
 
 def assert_same_bits(a, b):
@@ -291,6 +311,20 @@ class TestBracketAccuracy:
             err = float(np.abs(got - ref).max() / np.abs(ref).max())
             assert err < 1e-12, label
 
+    # where cal_E/eta^4 is largest: the float kernel's two O(eta) terms cancel
+    # to an O(eta^2) bracket. Each bound sits just above the error of the
+    # oracle's own grouping run in float64 (5.3e-10, 4.0e-11 and 4.9e-12, on
+    # the skewed density at one step), so the kernel's grouping may not lose
+    # digits against it; the kernel reads 4.5e-10, 4.4e-11 and 4.0e-12
+    @pytest.mark.parametrize("eta, bound", [(1e-4, 6e-10), (1e-3, 5e-11), (0.01, 6e-12)])
+    def test_small_eta_within_bound_of_log1p_oracle(self, eta, bound):
+        for label, p, steps, policy in _oracle_states():
+            eps = _floor_raw(p)
+            got = _kl_bracket_raw(p, steps, eta, policy, eps)
+            ref = longdouble_log1p_bracket(p, steps, eta, policy, eps)
+            err = float(np.abs(got - ref).max() / np.abs(ref).max())
+            assert err < bound, label
+
 
 def _energy_errors(p, steps, eta, policy):
     """Errors of _kl_energy_raw and of the float sum of p times the bracket
@@ -461,6 +495,26 @@ class TestFullNonlinearTerm:
             maxF.append(np.abs(f.values[window]).max())
         slope = np.polyfit(np.log(Ls), np.log(maxF), 1)[0]
         assert slope >= 0.9
+
+    @pytest.mark.parametrize("policy", ["floor", "extrap"])
+    @pytest.mark.parametrize("n, shape, budget", [
+        (131073, "gauss", 3.1), (131073, "node", 3.1), (2305, "exact", 5.3)])
+    def test_allocation_budget(self, consts, policy, n, shape, budget):
+        # the peak of _field_raw in arrays of N. Four blocks at 131073 points:
+        # the bracket's output, the Q pass's sqrt(p) and stencil (3.00; 4.00
+        # with two shifted copies of p). One block at 2305: the padded
+        # density, the output, two ratios and a denominator (5.11; 8.05)
+        if shape == "exact":
+            params = make_params(0.1, 0.8)
+            g = Grid(x_min=0.0, dx=0.8 * 0.1 / 16, n_points=n, boundary="dirichlet")
+            p = density(build_exact_state(ExactSolutionSpec(kappa=1.0, params=params), g)).values
+        else:
+            g = Grid(x_min=-8.0, dx=16.0 / (n - 1), n_points=n, boundary="dirichlet")
+            p = np.exp(-g.x**2) * (g.x**2 if shape == "node" else 1.0)
+            params = make_params(512 * g.dx / 0.8, 0.8)
+        steps = params.shift_steps(g)
+        peak = traced_peak(lambda: _field_raw(p, g, params, consts, policy, steps))
+        assert peak < budget * 8 * n
 
     @pytest.mark.parametrize("n", [4096, 2 * nonlinearity._BLOCK + 3])
     @pytest.mark.parametrize("roll", [1, 37, -1001])
