@@ -17,7 +17,11 @@ second-difference stencil, ``_second_difference_raw``, which takes its
 factor: the Hamiltonian apply, ``_hamiltonian_raw`` (-(hbar^2/2m) psi'' +
 u psi, u real), scales it once by -hbar^2/(2m dx^2) and the quantum
 potential once by hbar^2/(2m dx^2), while ``laplacian`` and the measures'
-error estimate scale it by 1/dx^2.
+error estimate scale it by 1/dx^2. There is one construction of shifted
+samples, ``_padded_raw``: p between its off-grid samples (the periodic wrap,
+or the one edge rule ``_edge_fill``) in one array, of which p and both
+shifts p(x +- steps*dx) are views; the shift, the bracket of F and the
+shifted relative entropy all read it.
 """
 
 from __future__ import annotations
@@ -284,33 +288,43 @@ def normalize(psi: Wavefunction) -> Wavefunction:
     return _normalized(psi.grid, psi.values)
 
 
-def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray:
-    """out[k] = p[k + steps]; out-of-range per policy.
+def _padded_raw(
+    p: np.ndarray, steps: int, policy: str, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one construction of shifted samples: (padded, centre, plus, minus).
 
-    'periodic' wraps, 'floor' fills with the density floor, 'extrap'
-    continues geometrically (out[k] = p[k]^2 / p[k - steps], floored
-    denominator), which is exact for exponentially damped profiles. The two
-    non-periodic policies raise StepTooLargeError unless |steps| < n.
+    ``padded`` holds the h samples left of the grid, p and the h samples
+    right of it, n + 2h points (h = |steps| mod n); ``centre``, ``plus`` and
+    ``minus`` are its views p, p(x + steps*dx) and p(x - steps*dx). The
+    off-grid samples wrap under 'periodic' and are ``_edge_fill``'s
+    otherwise, so a non-periodic shift raises StepTooLargeError unless
+    |steps| < n, where h = |steps|.
     """
     n = p.size
-    if steps == 0:
-        return p.copy()
-    if policy == "periodic":
-        out = np.empty_like(p)
-        s = steps % n
-        out[: n - s] = p[s:]
-        out[n - s:] = p[:s]
-        return out
-    _check_policy(policy)
-    _check_steps(steps, n)
-    out = np.empty_like(p)
-    if steps > 0:
-        out[: n - steps] = p[steps:]
-        _edge_fill(p, steps, policy, eps, out[n - steps:])
+    periodic = policy == "periodic"
+    if not periodic:
+        _check_policy(policy)
+        _check_steps(steps, n)
+    h = abs(steps) % n
+    padded = np.empty(n + 2 * h)
+    padded[h: h + n] = p
+    if periodic:
+        padded[:h] = p[n - h:]
+        padded[h + n:] = p[:h]
     else:
-        out[-steps:] = p[:steps]
-        _edge_fill(p, steps, policy, eps, out[:-steps])
-    return out
+        _edge_fill(p, -h, policy, eps, padded[:h])
+        _edge_fill(p, h, policy, eps, padded[h + n:])
+    ahead, behind = padded[2 * h:], padded[:n]
+    plus, minus = (behind, ahead) if steps < 0 else (ahead, behind)
+    return padded, padded[h: h + n], plus, minus
+
+
+def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray:
+    """out[k] = p[k + steps], the ``plus`` view of ``_padded_raw``: 'periodic'
+    wraps, 'floor' fills with the density floor, 'extrap' continues
+    geometrically (out[k] = p[k]^2 / p[k - steps], floored denominator),
+    which is exact for exponentially damped profiles."""
+    return _padded_raw(p, steps, policy, eps)[2]
 
 
 def _edge_fill(p: np.ndarray, steps: int, policy: str, eps: float, out: np.ndarray) -> np.ndarray:
@@ -337,18 +351,15 @@ def shift_density(p: Density, steps: int, policy: str | None = None) -> Density:
     _check_steps(steps, p.grid.n_points)
     if policy is None:
         policy = p.grid.default_policy()
-    _check_policy(policy)
     return Density(p.grid, _shift_raw(p.values, steps, policy, p.floor()))
 
 
-def _second_difference_raw(
-    v: np.ndarray, boundary: str, factor: float | None = None
-) -> np.ndarray:
+def _second_difference_raw(v: np.ndarray, boundary: str, factor: float) -> np.ndarray:
     """The one stencil, v[k+1] - 2 v[k] + v[k-1] (zero ghost values on a
-    dirichlet grid, wrapped on a periodic one), times ``factor`` if given.
-    The factor multiplies the float64 view: numpy multiplies a complex array
-    by a real scalar through a slower complex loop, which also turns some
-    -0.0 into +0.0."""
+    dirichlet grid, wrapped on a periodic one), times ``factor``. The factor
+    multiplies the float64 view: numpy multiplies a complex array by a real
+    scalar through a slower complex loop, which also turns some -0.0 into
+    +0.0."""
     out = np.empty_like(v)
     mid = out[1:-1]
     np.multiply(2.0, v[1:-1], out=mid)
@@ -360,21 +371,8 @@ def _second_difference_raw(
     else:  # dirichlet: ghost values are zero
         out[0] = v[1] - 2.0 * v[0]
         out[-1] = v[-2] - 2.0 * v[-1]
-    if factor is not None:
-        re_im = out.view(np.float64)
-        re_im *= factor
-    return out
-
-
-def _laplacian_raw(v: np.ndarray, dx: float, boundary: str) -> np.ndarray:
-    """v'': the stencil over dx^2. A real v is divided by dx^2; a complex v
-    is multiplied by 1/dx^2, which is how numpy divides a complex array by a
-    real scalar: the same bits on finite parts, except that the division
-    turns some -0.0 into +0.0."""
-    if v.dtype.kind == "c":
-        return _second_difference_raw(v, boundary, 1.0 / (dx * dx))
-    out = _second_difference_raw(v, boundary)
-    out /= dx * dx
+    re_im = out.view(np.float64)
+    re_im *= factor
     return out
 
 
@@ -390,4 +388,4 @@ def _hamiltonian_raw(v: np.ndarray, u: np.ndarray, grid: Grid, consts: PhysConst
 def laplacian(psi: Wavefunction) -> Wavefunction:
     """Second-order central difference of the wavefunction."""
     g = psi.grid
-    return Wavefunction(g, _laplacian_raw(psi.values, g.dx, g.boundary))
+    return Wavefunction(g, _second_difference_raw(psi.values, g.boundary, 1.0 / (g.dx * g.dx)))

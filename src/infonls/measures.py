@@ -8,6 +8,10 @@ is the bridge object of the theory: its functional derivative is exactly the
 logarithmic bracket of the nonlinearity, its L -> 0 limit is L^2/2 times the
 Fisher information, and its formal large-L limit connects to the Shannon
 entropy. A numeric functional-derivative oracle ties the three together.
+
+p and p(x+L) are views of the one padded array of ``grid._padded_raw``, which
+the bracket of F also reads; it is floored and logged once, in place. Every
+quadrature error estimate scales the grid's one stencil by 1/dx^2.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Density, Grid, _laplacian_raw, _shift_raw, integrate
+from .grid import Density, Grid, _padded_raw, _second_difference_raw, integrate
 
 
 @dataclass(frozen=True)
@@ -32,17 +36,19 @@ class FunctionalValue:
 
 def _quad_error_estimate(integrand: np.ndarray, grid: Grid) -> float:
     # crude bound of the one quadrature rule, the trapezoid: (dx^2 / 12) * integral |f''|
-    d2 = _laplacian_raw(integrand, grid.dx, grid.boundary)
+    d2 = _second_difference_raw(integrand, grid.boundary, 1.0 / (grid.dx * grid.dx))
     return float(grid.dx**2 / 12.0 * integrate(np.abs(d2), grid))
 
 
 def _kl_integrand(p: Density, L: float, policy: str | None) -> np.ndarray:
-    """p ln(p / p(x+L)) pointwise, both log arguments floored."""
+    """p ln(p / p(x+L)) pointwise, both log arguments floored: the padded
+    array of ``grid._padded_raw`` is floored and logged once, in place, and
+    p and its shift are views of it."""
     steps = p.grid.steps_for(L)
     eps = p.floor()
-    shifted = _shift_raw(p.values, steps, policy or p.grid.default_policy(), eps)
-    integrand = np.log(np.maximum(p.values, eps))
-    integrand -= np.log(np.maximum(shifted, eps, out=shifted), out=shifted)
+    padded, centre, plus, _ = _padded_raw(p.values, steps, policy or p.grid.default_policy(), eps)
+    np.log(np.maximum(padded, eps, out=padded), out=padded)
+    integrand = np.subtract(centre, plus)
     integrand *= p.values
     return integrand
 

@@ -19,8 +19,9 @@ its denominator: its second derivative acts on the raw sqrt(p), since
 flooring it there would break the exact discrete cancellation against the
 kinetic term for real states, which the half-line solutions rely on.
 
-The bracket copies p and its two edge fills into one padded array and clamps
-it once; p and both shifts are views of it, so no shifted copy of p is made.
+The bracket clamps the one padded array of ``grid._padded_raw`` (p between
+its off-grid samples) once; p and both shifts are views of it, so no shifted
+copy of p is made.
 Its 17 elementwise passes (4 for the two ratios, 13 for the log1p form) run
 block by block on grids longer than ``_BLOCK`` points. Over a whole
 131k-point grid each pass allocates a 1 MiB temporary; the allocator hands
@@ -51,6 +52,7 @@ from .grid import (
     _check_steps,
     _edge_fill,
     _floor_raw,
+    _padded_raw,
     _second_difference_raw,
 )
 
@@ -69,10 +71,8 @@ def _kl_bracket_raw(
     """The regulated bracket of p and its shifts p(x +- steps*dx), edges per
     ``policy``; dimensionless, without the cal_E/eta^4 prefactor.
 
-    One array of n + 2h points holds the left fill, p and the right fill
-    (``_edge_fill``'s samples, or the periodic wrap), clamped at the floor
-    once; the clamped p and both clamped shifts are views of it (h = |steps|,
-    the two shifts swapped for steps < 0; h = steps mod n when periodic).
+    The padded array of ``grid._padded_raw`` is clamped at the floor once;
+    the clamped p and both clamped shifts are its views.
     The bracket itself is elementwise, so it is evaluated block by block
     into one output array: a grid of up to ``_BLOCK`` points is one block, a
     longer one is cut into ceil(n/_BLOCK) slices of equal length (to one
@@ -80,24 +80,8 @@ def _kl_bracket_raw(
     bits do not depend on the blocking.
     """
     n = p.size
-    periodic = policy == "periodic"
-    if periodic:
-        h = steps % n
-    else:
-        _check_policy(policy)
-        _check_steps(steps, n)
-        h = abs(steps)
-    padded = np.empty(n + 2 * h)
-    padded[h: h + n] = p
-    if periodic:
-        padded[:h] = p[n - h:]
-        padded[h + n:] = p[:h]
-    else:
-        _edge_fill(p, -h, policy, eps, padded[:h])
-        _edge_fill(p, h, policy, eps, padded[h + n:])
+    padded, fp, fpp, fpm = _padded_raw(p, steps, policy, eps)
     np.maximum(padded, eps, out=padded)
-    fp, ahead, behind = padded[h: h + n], padded[2 * h:], padded[:n]
-    fpp, fpm = (behind, ahead) if steps < 0 and not periodic else (ahead, behind)
     out = np.empty(n)
     blocks = -(-n // _BLOCK)
     edges = [k * n // blocks for k in range(blocks + 1)]

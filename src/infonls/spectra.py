@@ -146,11 +146,11 @@ def characteristic_length(state: Wavefunction) -> float:
     return math.sqrt(2.0 * (integrate((x - xc) ** 2 * p, grid) / norm))
 
 
-def _shift_state_part(state: Wavefunction) -> tuple[np.ndarray, float, float, int]:
+def _shift_state_part(state: Wavefunction) -> tuple[np.ndarray, float, float, np.ndarray]:
     """The eta- and L-independent part of delta_E: the read-only density, its
     floor, sum (D sqrt p)^2 over every first difference, boundary ones
-    included (periodic: the wrap; dirichlet: the zero ghosts), and the number
-    of points below the floor."""
+    included (periodic: the wrap; dirichlet: the zero ghosts), and the
+    read-only indices of the points below the floor."""
     p = _density_raw(state.values)
     s = np.sqrt(p)
     d = np.diff(s)
@@ -159,8 +159,8 @@ def _shift_state_part(state: Wavefunction) -> tuple[np.ndarray, float, float, in
     else:
         edge = float(s[0] ** 2 + s[-1] ** 2)
     eps = _floor_raw(p)
-    n_low = int(np.count_nonzero(p < eps))
-    return _readonly(p), eps, float(np.sum(d * d)) + edge, n_low
+    low = np.flatnonzero(p < eps)
+    return _readonly(p), eps, float(np.sum(d * d)) + edge, _readonly(low)
 
 
 def first_order_shift_numeric(
@@ -181,20 +181,19 @@ def first_order_shift_numeric(
     first-difference form, - (hbar^2/2m) sum (D sqrt p)^2 dx, which is robust
     to rough state noise; by summation by parts it equals sum p Q dx.
 
-    The density, its floor, the difference sum and the number of sub-floor
-    points depend on the state alone, so they are computed on the first call
-    for a state and reused by later calls at any (eta, L, policy).
+    The density, its floor, the difference sum and the indices of the
+    sub-floor points depend on the state alone, so they are computed on the
+    first call for a state and reused by later calls at any (eta, L, policy).
     """
     grid = state.grid
     steps = params.shift_steps(grid)
     pol = policy or grid.default_policy()
-    p, eps, dsq, n_low = _derived(state, "shift_state_part", _shift_state_part)
-    low = np.flatnonzero(p < eps) if n_low else np.empty(0, np.intp)
+    p, eps, dsq, low = _derived(state, "shift_state_part", _shift_state_part)
     kl = _kl_energy_raw(p, steps, params.eta, pol, eps, low)
     kl_part = kl * (params.cal_E / params.eta**4) * grid.dx
     qp_part = -(consts.hbar**2 / (2.0 * consts.mass)) * dsq / grid.dx
     return ShiftResult(eta=params.eta, L=params.L, delta_E=kl_part + qp_part,
-                       floor_points=n_low)
+                       floor_points=low.size)
 
 
 def node_shift_eta_profile(eta: float) -> float:

@@ -23,7 +23,7 @@ from infonls.errors import (
     StepTooLargeError,
     ZeroNormError,
 )
-from infonls.grid import Potential, _laplacian_raw, _normalized, _shift_raw
+from infonls.grid import Potential, _normalized, _second_difference_raw, _shift_raw
 from conftest import gaussian_state, periodic_grid, plane_wave
 
 
@@ -257,6 +257,22 @@ class TestShiftDensity:
         p = self._small([1, 2, 3, 4, 5, 6, 7, 8])
         with pytest.raises(StepTooLargeError):
             shift_density(p, 8)
+        # the policy is checked even where no sample falls off the grid
+        with pytest.raises(ValueError, match="^policy must be one of"):
+            _shift_raw(p.values, 0, "bogus", p.floor())
+
+    @pytest.mark.parametrize("steps", [1, 5, 7])
+    @pytest.mark.parametrize("policy", ["periodic", "floor", "extrap"])
+    def test_mirror_identity(self, policy, steps):
+        # shifting by -s is shifting the mirror image by s, mirrored back,
+        # bit for bit: the left fill is the right fill of the mirror image
+        vals = np.exp(-0.3 * np.arange(8)) * (1.0 + 0.5 * np.sin(np.arange(8)))
+        vals[[2, 5]] = 0.0
+        eps = 1e-12 * vals.max()
+        for s in (steps, -steps):
+            got = _shift_raw(vals, -s, policy, eps)
+            mirrored = _shift_raw(vals[::-1].copy(), s, policy, eps)[::-1]
+            assert np.array_equal(got.view(np.int64), mirrored.view(np.int64))
 
     @pytest.mark.parametrize("policy", ["floor", "extrap"])
     @pytest.mark.parametrize("steps", [8, -8, 10, -10])
@@ -370,13 +386,13 @@ class TestLaplacian:
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
     @pytest.mark.parametrize("dx", [0.01, 0.1 / 3, 2 * np.pi / 512, 0.8 * 0.1 / 16])
     def test_complex_scales_real_stencil(self, boundary, dx):
-        # the complex path multiplies the stencil by 1/dx^2, the real path
-        # (which Q and the residuals use) divides by dx^2: the two agree to
-        # 1 ulp on each part
+        # the stencil scales the float64 view by its factor, so the complex
+        # Laplacian is, part by part, the real stencil times 1/dx^2 (the
+        # scaling of the measures' error estimates), bit for bit
         rng = np.random.default_rng(7)
         g = Grid(x_min=0.0, dx=dx, n_points=257, boundary=boundary)
         psi = Wavefunction(g, rng.normal(size=257) + 1j * rng.normal(size=257))
         lap = laplacian(psi).values
         for part, ref in ((lap.real, psi.values.real), (lap.imag, psi.values.imag)):
-            real = _laplacian_raw(np.ascontiguousarray(ref), dx, boundary)
-            np.testing.assert_array_max_ulp(part, real, maxulp=1)
+            real = _second_difference_raw(np.ascontiguousarray(ref), boundary, 1.0 / (dx * dx))
+            assert np.array_equal(part.view(np.int64), real.view(np.int64))

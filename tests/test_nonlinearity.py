@@ -212,6 +212,24 @@ class TestBracketReference:
             got = _kl_bracket_raw(p, steps, eta, policy, eps)
         assert_same_bits(got, expected)
 
+    @given(
+        p=degenerate_densities(),
+        data=st.data(),
+        eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mirror_identity(self, p, data, eta):
+        # the bracket at -s is the bracket of the mirror image at s, mirrored
+        # back, bit for bit, under every policy and both signs
+        s = data.draw(st.integers(1, p.size - 1))
+        eps = _floor_raw(p)
+        mirror = p[::-1].copy()
+        with np.errstate(all="ignore"):
+            for policy in ("floor", "extrap", "periodic"):
+                for steps in (s, -s):
+                    assert_same_bits(_kl_bracket_raw(p, -steps, eta, policy, eps),
+                                     _kl_bracket_raw(mirror, steps, eta, policy, eps)[::-1])
+
     @pytest.mark.parametrize("steps", [16, -16])
     @pytest.mark.parametrize("eta", [0.3, 0.8, 1.0])
     def test_all_safe_density(self, steps, eta):
@@ -515,6 +533,18 @@ class TestFullNonlinearTerm:
         steps = params.shift_steps(g)
         peak = traced_peak(lambda: _field_raw(p, g, params, consts, policy, steps))
         assert peak < budget * 8 * n
+
+    @pytest.mark.parametrize("steps", [512, -512])
+    def test_periodic_bracket_allocation_budget(self, steps):
+        # the peak of the periodic bracket in arrays of N, at either sign:
+        # the padded density of N + 2|steps| points, the output and a block's
+        # three temporaries (2.61; padding by steps mod N took 4.59 at -512)
+        n = 131073
+        g = periodic_grid(width=16.0, n=n, x_min=-8.0)
+        p = np.exp(-g.x**2)
+        eps = _floor_raw(p)
+        peak = traced_peak(lambda: _kl_bracket_raw(p, steps, 0.8, "periodic", eps))
+        assert peak < 2.8 * 8 * n
 
     @pytest.mark.parametrize("n", [4096, 2 * nonlinearity._BLOCK + 3])
     @pytest.mark.parametrize("roll", [1, 37, -1001])

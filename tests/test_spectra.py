@@ -444,10 +444,13 @@ class TestPerStateReuse:
         _shift_hex(psi, 0.8, 4, "floor", consts)
         cached = [v for part in psi._derived.values() for v in part
                   if isinstance(v, np.ndarray)]
-        assert len(cached) == 1
-        np.testing.assert_array_equal(cached[0], psi.values.real**2 + psi.values.imag**2)
+        assert len(cached) == 2  # the density and its sub-floor indices
+        p, low = cached
+        np.testing.assert_array_equal(p, psi.values.real**2 + psi.values.imag**2)
+        np.testing.assert_array_equal(low, np.flatnonzero(p < _floor_raw(p)))
         with pytest.raises(ValueError, match="read-only"):
-            cached[0][0] = 1.0
+            p[0] = 1.0
+        assert not low.flags.writeable
 
     def test_concurrent_first_use(self, consts):
         warm = _REUSE_STATES["periodic"]
