@@ -3,7 +3,8 @@
 output over a fixed set of states, policies and shifts, one line per array.
 
 The kernels are the shift, the regulated bracket (at the bracket's own
-shifts and at every shift of the shift lines), the quantum potential, the
+shifts and at every shift of the shift lines), the shift's energy sum
+``_kl_energy_raw`` (at +-1, +-(n-1) and +-(n//2+3)), the quantum potential, the
 full field F, the KL term (the public ones as a Potential's values and
 singular mask), the Laplacian, ``rhs_apply``, ``rk4_step`` (both signs of dt)
 and every array of an ``evolve`` report, with and without F. The exact-state
@@ -84,7 +85,12 @@ from infonls import (
 )
 from infonls.errors import InfonlsError, NonFiniteEvolutionError
 from infonls.grid import _floor_raw, _shift_raw
-from infonls.nonlinearity import _field_raw, _kl_bracket_raw, _quantum_potential_raw
+from infonls.nonlinearity import (
+    _field_raw,
+    _kl_bracket_raw,
+    _kl_energy_raw,
+    _quantum_potential_raw,
+)
 
 POLICIES = ("floor", "extrap", "periodic")
 #: Regulators the bracket is evaluated at besides the state's own.
@@ -203,6 +209,7 @@ def arrays(consts):
         n = grid.n_points
         p = psi.values.real**2 + psi.values.imag**2
         eps = _floor_raw(p)
+        low = np.flatnonzero(p < eps)
         steps = params.shift_steps(grid)
         dt = dt_max(grid, consts)
         yield f"{name} laplacian", laplacian(psi).values
@@ -223,6 +230,11 @@ def arrays(consts):
                 if abs(s) != steps:
                     yield (f"{name} {pol} bracket[eta={params.eta!r},{s}]",
                            _kl_bracket_raw(p, s, params.eta, pol, eps))
+            # the shift's energy sum where fewer than |s| edge samples have an
+            # on-grid source, and at the periodic wrap of a negative shift
+            for s in (1, -1, n - 1, 1 - n, n // 2 + 3, -(n // 2 + 3)):
+                yield (f"{name} {pol} kl_energy[{s}]",
+                       np.array(_kl_energy_raw(p, s, params.eta, pol, eps, low)))
             yield (f"{name} {pol} KL",
                    regularized_kl_term(Density(grid, p), params, pol).values)
             yield f"{name} {pol} F", _field_raw(p, grid, params, consts, pol, steps)

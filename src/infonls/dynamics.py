@@ -30,7 +30,7 @@ from .grid import (
     _hamiltonian_raw,
     integrate,
 )
-from .nonlinearity import _field_raw
+from .nonlinearity import _field_raw, _warn_if_unregularized
 
 
 def zero_potential(grid: Grid) -> Potential:
@@ -74,6 +74,8 @@ def _make_rhs(
 ):
     """Right-side closure on raw complex arrays (masked points are pinned),
     under ``policy`` or else the grid's default."""
+    if params is not None:  # stacklevel 4: the caller of rhs_apply, rk4_step or evolve
+        _warn_if_unregularized(params, stacklevel=4)
     policy = policy or grid.default_policy()
     mask = V.singular_mask
     pinned = np.flatnonzero(mask)

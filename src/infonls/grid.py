@@ -19,9 +19,9 @@ u psi, u real), scales it once by -hbar^2/(2m dx^2) and the quantum
 potential once by hbar^2/(2m dx^2), while ``laplacian`` and the measures'
 error estimate scale it by 1/dx^2. There is one construction of shifted
 samples, ``_padded_raw``: p between its off-grid samples (the periodic wrap,
-or the one edge rule ``_edge_fill``) in one array, of which p and both
-shifts p(x +- steps*dx) are views; the shift, the bracket of F and the
-shifted relative entropy all read it.
+or the one edge rule, which only it writes) in one array, of which p and
+both shifts p(x +- steps*dx) are views; the shift, the bracket of F, the
+shift's energy sum and the shifted relative entropy all read it.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class Grid:
         return self.x_min + np.arange(self.n_points) * self.dx
 
     def quad_weights(self) -> np.ndarray:
-        """dx at every point: the weights of the one quadrature rule."""
+        """dx at every point; no package code calls it (``integrate`` multiplies by dx)."""
         return np.full(self.n_points, self.dx)
 
     def default_policy(self) -> str:
@@ -296,9 +296,10 @@ def _padded_raw(
     ``padded`` holds the h samples left of the grid, p and the h samples
     right of it, n + 2h points (h = |steps| mod n); ``centre``, ``plus`` and
     ``minus`` are its views p, p(x + steps*dx) and p(x - steps*dx). The
-    off-grid samples wrap under 'periodic' and are ``_edge_fill``'s
-    otherwise, so a non-periodic shift raises StepTooLargeError unless
-    |steps| < n, where h = |steps|.
+    off-grid samples wrap under 'periodic'; otherwise the one edge rule fills
+    eps ('floor') or, h steps beyond an end point y, p(y)^2 / max(p(y -+ h dx),
+    eps) where y -+ h dx is on the grid and eps elsewhere ('extrap'). A
+    non-periodic shift raises StepTooLargeError unless |steps| < n (h = |steps|).
     """
     n = p.size
     periodic = policy == "periodic"
@@ -312,8 +313,13 @@ def _padded_raw(
         padded[:h] = p[n - h:]
         padded[h + n:] = p[:h]
     else:
-        _edge_fill(p, -h, policy, eps, padded[:h])
-        _edge_fill(p, h, policy, eps, padded[h + n:])
+        padded[:h] = eps
+        padded[h + n:] = eps
+        if policy == "extrap":
+            # the outer m samples of each side, whose source is on the grid
+            m = min(h, n - h)
+            padded[:m] = p[:m] ** 2 / np.maximum(p[h: h + m], eps)
+            padded[n + 2 * h - m:] = p[n - m:] ** 2 / np.maximum(p[n - m - h: n - h], eps)
     ahead, behind = padded[2 * h:], padded[:n]
     plus, minus = (behind, ahead) if steps < 0 else (ahead, behind)
     return padded, padded[h: h + n], plus, minus
@@ -325,25 +331,6 @@ def _shift_raw(p: np.ndarray, steps: int, policy: str, eps: float) -> np.ndarray
     geometrically (out[k] = p[k]^2 / p[k - steps], floored denominator),
     which is exact for exponentially damped profiles."""
     return _padded_raw(p, steps, policy, eps)[2]
-
-
-def _edge_fill(p: np.ndarray, steps: int, policy: str, eps: float, out: np.ndarray) -> np.ndarray:
-    """The one edge rule of a non-periodic shift, written into ``out``: the
-    |steps| samples p[k + steps] that fall off the grid, for the last |steps|
-    points k if steps > 0, the first |steps| if steps < 0. 'floor' fills
-    eps; 'extrap' fills p[k]^2 / max(p[k - steps], eps) where k - steps lies
-    on the grid, and eps elsewhere."""
-    n, h = p.size, abs(steps)
-    out[:] = eps
-    if policy == "extrap":
-        # edge points whose source k - steps lies on the grid: the last m for
-        # steps > 0, the first m for steps < 0
-        m = min(h, n - h)
-        if steps > 0:
-            out[h - m:] = p[n - m:] ** 2 / np.maximum(p[n - m - steps: n - steps], eps)
-        else:
-            out[:m] = p[:m] ** 2 / np.maximum(p[-steps: m - steps], eps)
-    return out
 
 
 def shift_density(p: Density, steps: int, policy: str | None = None) -> Density:

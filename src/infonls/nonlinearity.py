@@ -48,9 +48,6 @@ from .grid import (
     NonlinearParams,
     PhysConstants,
     Potential,
-    _check_policy,
-    _check_steps,
-    _edge_fill,
     _floor_raw,
     _padded_raw,
     _second_difference_raw,
@@ -166,39 +163,43 @@ def _kl_energy_raw(
     is on the grid (h = steps), p_j A_j and p_{j+h} B_{j+h} cancel unless
     one of the two points is below the floor, and sum p x telescopes to the
     fp of the first and last h points. What is left: the A terms of the
-    last h points and the B terms of the first h, whose shifts are
-    ``_edge_fill``'s; one pair term per pair with a sub-floor point; and
+    last h points and the B terms of the first h, whose shifts are off the
+    grid; one pair term per pair with a sub-floor point; and
     sum p (x - log1p(x)) over the points whose +h sample is on the grid,
     which has no cancellation between points. The last h points keep
     -log1p(x) whole, since their x is built from the edge fill. A periodic
-    policy pairs cyclically and has no edge terms.
+    policy pairs cyclically and has no edge terms. fp, fp+ and the left
+    fill are views of ``grid._padded_raw``'s array, clamped in place, which
+    log1p(x), formed at all n points, overwrites once nothing reads it.
     """
     n = p.size
     periodic = policy == "periodic"
-    if periodic:
-        h = steps % n
-    else:
-        _check_policy(policy)
-        _check_steps(steps, n)
-        if steps < 0:  # the mirror image of p, shifted the other way
-            p, low, steps = p[::-1], (n - 1 - low)[::-1], -steps
-        h = steps
+    if steps < 0 and not periodic:  # the mirror image of p, shifted the other way
+        p, low, steps = p[::-1], (n - 1 - low)[::-1], -steps
+    padded, fp, fpp, fpm = _padded_raw(p, steps, policy, eps)
+    h = steps % n
     if h == 0:
         return 0.0
-    fp = np.maximum(p, eps) if low.size else p
-    m = n if periodic else n - h
-    x = np.empty(m)
-    np.subtract(fp[h:], fp[: n - h], out=x[: n - h])
-    if periodic:
-        np.subtract(fp[:h], fp[n - h:], out=x[n - h:])
-    x /= fp[:m]
+    np.maximum(padded, eps, out=padded)
+    x = np.subtract(fpp, fp)
+    x /= fp
     x *= eta
-    total = _floor_terms(p, fp, x, h, eta, low, periodic) if low.size else 0.0
-    lx = np.log1p(x)
-    x -= lx
-    total += float(np.dot(p[:m], x))
+    m = n if periodic else n - h
+    total = _floor_terms(p, fp, x[:m], h, eta, low, periodic) if low.size else 0.0
     if not periodic:
-        total += _edge_terms(p, fp, h, eta, policy, eps)
+        # p (A - eta) over the last h points, -p (B - eta) over the first h
+        # (eta is what sum p x telescopes to); with r+- = (fp+- - fp)/fp they
+        # are eta (1 - eta) r+ / (1 + x) and eta^2 r- / (1 + (1 - eta) r-)
+        rp = (fpp[m:] - fp[m:]) / fp[m:]
+        rm = (fpm[:h] - fp[:h]) / fp[:h]
+        right = (eta * (1.0 - eta)) * rp / (1.0 + x[m:])
+        left = (eta * eta) * rm / (1.0 + (1.0 - eta) * rm)
+    lx = np.log1p(x, out=padded[:n])
+    x -= lx
+    total += float(np.dot(p[:m], x[:m]))
+    if not periodic:
+        right -= lx[m:]
+        total += float(np.dot(p[m:], right)) - float(np.dot(p[:h], left))
     return total
 
 
@@ -227,31 +228,12 @@ def _floor_terms(
     return total + eta * float(np.sum(pair))
 
 
-def _edge_terms(
-    p: np.ndarray, fp: np.ndarray, h: int, eta: float, policy: str, eps: float
-) -> float:
-    """The terms of the last and first h points of a non-periodic shift,
-    whose off-grid samples are ``_edge_fill``'s: p (A - eta - log1p(x)) over
-    the last h and -p (B - eta) over the first h, the eta being what
-    sum p x telescopes to. With r+- = (fp+- - fp)/fp, A - eta is
-    eta (1 - eta) r+ / (1 + x) and B - eta is eta^2 r- / (1 + (1 - eta) r-),
-    both 0 where the fill equals p."""
-    n = p.size
-    fr, fl = fp[n - h:], fp[:h]
-    rp = (np.maximum(_edge_fill(p, h, policy, eps, np.empty(h)), eps) - fr) / fr
-    rm = (np.maximum(_edge_fill(p, -h, policy, eps, np.empty(h)), eps) - fl) / fl
-    x = eta * rp
-    right = (eta * (1.0 - eta)) * rp / (1.0 + x) - np.log1p(x)
-    left = (eta * eta) * rm / (1.0 + (1.0 - eta) * rm)
-    return float(np.dot(p[n - h:], right)) - float(np.dot(p[:h], left))
-
-
-def _warn_if_unregularized(params: NonlinearParams) -> None:
+def _warn_if_unregularized(params: NonlinearParams, stacklevel: int = 3) -> None:
     if params.eta == 1.0:
         warnings.warn(
             "eta = 1 evaluates the unregularized, singular limit",
             UnregularizedEtaWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 

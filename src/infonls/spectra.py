@@ -37,7 +37,7 @@ from .grid import (
     _readonly,
     integrate,
 )
-from .nonlinearity import _kl_energy_raw
+from .nonlinearity import _kl_energy_raw, _warn_if_unregularized
 
 #: Calibration of the nodeless-shift integral, frozen by matching the
 #: Gaussian ground state of the harmonic well to its closed-form profile
@@ -185,6 +185,7 @@ def first_order_shift_numeric(
     sub-floor points depend on the state alone, so they are computed on the
     first call for a state and reused by later calls at any (eta, L, policy).
     """
+    _warn_if_unregularized(params)
     grid = state.grid
     steps = params.shift_steps(grid)
     pol = policy or grid.default_policy()

@@ -11,11 +11,19 @@ from infonls import (
     Grid,
     NonlinearParams,
     PhysConstants,
+    Wavefunction,
     build_exact_state,
     density,
+    dt_max,
+    evolve,
+    first_order_shift_numeric,
     nonlinear_term_F,
+    normalize,
     quantum_potential_term,
     regularized_kl_term,
+    rhs_apply,
+    rk4_step,
+    zero_potential,
 )
 from infonls import nonlinearity
 from infonls.errors import UnregularizedEtaWarning
@@ -177,6 +185,29 @@ class TestRegularizedKLTerm:
         p = Density(g, np.full(128, 0.25))
         with pytest.warns(UnregularizedEtaWarning):
             regularized_kl_term(p, make_params(0.25, 1.0))
+
+    @pytest.mark.parametrize("eta, count", [(1.0, 1), (0.999, 0)])
+    @pytest.mark.parametrize("call", ["first_order_shift_numeric", "rhs_apply", "rk4_step",
+                                      "evolve"])
+    def test_every_consumer_warns_once_at_eta_one(self, consts, call, eta, count):
+        # the shift and the three dynamics entry points evaluate F too; each
+        # warns once per call, at the caller's line
+        g = Grid(x_min=-4.0, dx=0.02, n_points=401, boundary="dirichlet")
+        psi = normalize(Wavefunction(g, np.exp(-g.x**2).astype(complex)))
+        params = NonlinearParams.for_length(5 * g.dx / eta, eta, consts)
+        V, dt = zero_potential(g), dt_max(g, consts)
+        calls = {
+            "first_order_shift_numeric": lambda: first_order_shift_numeric(psi, params, consts),
+            "rhs_apply": lambda: rhs_apply(psi, V, params, consts),
+            "rk4_step": lambda: rk4_step(psi, V, params, consts, dt),
+            "evolve": lambda: evolve(psi, V, params, consts, dt, 2),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calls[call]()
+        hits = [w for w in caught if w.category is UnregularizedEtaWarning]
+        assert len(hits) == count
+        assert all(w.filename == __file__ for w in hits)
 
     def test_eta_one_recovers_unregularized_bracket(self):
         g = periodic_grid(width=2 * np.pi, n=256, x_min=0.0)
@@ -407,6 +438,22 @@ class TestKLEnergy:
         eps = _floor_raw(p)
         for steps in (1, 5, -5, 32):
             assert _kl_energy_raw(p, steps, 0.6, policy, eps, np.flatnonzero(p < eps)) == 0.0
+
+    @pytest.mark.parametrize("policy", ["floor", "extrap", "periodic"])
+    @pytest.mark.parametrize("shape", ["gauss", "node"])
+    def test_allocation_budget(self, policy, shape):
+        # the peak in arrays of N at 131073 points and 512 steps: the clamped
+        # padded density and x, whose log1p overwrites the padded array (2.01
+        # to 2.03; a separate clamped p and log1p read 3.02 on the node state,
+        # whose node below the floor makes the clamp a copy)
+        n = 131073
+        x = np.linspace(-5.0, 5.0, n)
+        p = np.exp(-x**2) * (x**2 if shape == "node" else 1.0)
+        eps = _floor_raw(p)
+        low = np.flatnonzero(p < eps)
+        assert low.size == (shape == "node")
+        peak = traced_peak(lambda: _kl_energy_raw(p, 512, 0.8, policy, eps, low))
+        assert peak < 2.1 * 8 * n
 
 
 class TestQuantumPotential:

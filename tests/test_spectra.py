@@ -35,6 +35,7 @@ from infonls.errors import (
     NodeDetectedError,
     NonFiniteObjectiveError,
     ParameterDomainError,
+    UnregularizedEtaWarning,
     ZeroNormError,
 )
 from infonls.config import parse_config
@@ -276,7 +277,8 @@ class TestFloorPoints:
         coarse = Grid(x_min=-8.0, dx=16.0 / 401, n_points=400, boundary="dirichlet")
         psi = solve_linear_spectrum(harmonic_potential(coarse, consts), coarse, consts, 2).states[1]
         fine = Grid(x_min=-6.0, dx=12.0 / (n - 1), n_points=n, boundary="dirichlet")
-        assert self._floor_points(resample_state(psi, fine), 1.0, 7, consts) > 0
+        with pytest.warns(UnregularizedEtaWarning):
+            assert self._floor_points(resample_state(psi, fine), 1.0, 7, consts) > 0
 
 
 def longdouble_shift(psi, params, consts, eps):
